@@ -35,7 +35,7 @@ void SoftwareExtractor::ProcessPacket(const PacketRecord& pkt, FeatureSink* sink
   cell.fg_tuple = GroupKey::InitiatorTuple(pkt);
 
   const auto& grans = compiled_.nic_program.granularities;
-  std::array<GroupState*, 4> touched{};
+  std::array<const GroupState*, 4> touched{};
   for (size_t gi = 0; gi < grans.size(); ++gi) {
     const GroupKey key = GroupKey::FromFgTuple(cell.fg_tuple, grans[gi]);
     bool via_dram = false;
@@ -46,20 +46,15 @@ void SoftwareExtractor::ProcessPacket(const PacketRecord& pkt, FeatureSink* sink
   }
 
   if (compiled_.nic_program.collect.per_packet && sink != nullptr) {
-    FeatureVector vector;
-    vector.group = GroupKey::FromFgTuple(cell.fg_tuple, compiled_.switch_program.fg());
-    vector.timestamp_ns = pkt.timestamp_ns;
-    vector.values.reserve(compiled_.nic_program.FeatureDimension());
-    for (size_t gi = 0; gi < grans.size(); ++gi) {
-      EmitGroupFeatures(plan_, gi, *touched[gi], vector.values);
-    }
     ++vectors_;
-    sink->OnFeatureVector(std::move(vector));
+    sink->OnFeatureVector(AssembleVector(
+        plan_, tables_, touched, cell.fg_tuple,
+        GroupKey::FromFgTuple(cell.fg_tuple, compiled_.switch_program.fg()), pkt.timestamp_ns));
   }
 }
 
 void SoftwareExtractor::Flush(FeatureSink* sink) {
-  if (!compiled_.nic_program.collect.per_packet) {
+  if (!compiled_.nic_program.collect.per_packet && sink != nullptr) {
     const Granularity unit = compiled_.nic_program.collect.unit;
     const auto& grans = compiled_.nic_program.granularities;
     for (size_t gi = 0; gi < grans.size(); ++gi) {
@@ -67,28 +62,11 @@ void SoftwareExtractor::Flush(FeatureSink* sink) {
         continue;
       }
       tables_[gi]->ForEach([&](const GroupKey& key, GroupState& group) {
-        if (sink == nullptr) {
-          return;
-        }
-        FeatureVector vector;
-        vector.group = key;
-        vector.timestamp_ns = group.last_seen_ns;
-        vector.values.reserve(compiled_.nic_program.FeatureDimension());
-        for (size_t gj = 0; gj < grans.size(); ++gj) {
-          if (grans[gj] == unit) {
-            EmitGroupFeatures(plan_, gj, group, vector.values);
-            continue;
-          }
-          const GroupKey sibling_key = GroupKey::FromFgTuple(group.last_fg_tuple, grans[gj]);
-          GroupState* sibling = tables_[gj]->Find(sibling_key, sibling_key.Hash());
-          if (sibling != nullptr) {
-            EmitGroupFeatures(plan_, gj, *sibling, vector.values);
-          } else {
-            vector.values.resize(vector.values.size() + GranularityFeatureWidth(plan_, gj), 0.0);
-          }
-        }
+        std::array<const GroupState*, 4> groups{};
+        groups[gi] = &group;
         ++vectors_;
-        sink->OnFeatureVector(std::move(vector));
+        sink->OnFeatureVector(
+            AssembleVector(plan_, tables_, groups, group.last_fg_tuple, key, group.last_seen_ns));
       });
     }
   }

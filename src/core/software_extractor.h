@@ -79,7 +79,7 @@ class SoftwareExtractor {
   CompiledPolicy compiled_;
   ExecPlan plan_;
   ExecOptions options_;
-  std::vector<std::unique_ptr<GroupTable<GroupState>>> tables_;
+  GroupTables tables_;
   uint64_t vectors_ = 0;
 };
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <map>
 
 #include "common/hash.h"
+#include "policy/functions.h"
 #include "streaming/batch.h"
 
 namespace superfe {
@@ -31,161 +33,137 @@ void LogHist::AddBatch(const double* v, size_t n) {
 
 }  // namespace exec_internal
 
-Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional)
-    : spec_(spec), nic_(options.nic_arithmetic), compensated_(options.compensated_batch) {
-  const double lambda = spec.decay_lambda;
-  const DampedMode mode = options.EffectiveDampedMode();
-  // Directional tracking applies to damped 1D statistics only.
-  directional_ = directional && lambda > 0.0 &&
-                 (spec.fn == ReduceFn::kSum || spec.fn == ReduceFn::kMean ||
-                  spec.fn == ReduceFn::kVar || spec.fn == ReduceFn::kStd);
+namespace {
+
+// std::visit over a set of lambdas.
+template <typename... Fns>
+struct Overloaded : Fns... {
+  using Fns::operator()...;
+};
+template <typename... Fns>
+Overloaded(Fns...) -> Overloaded<Fns...>;
+
+}  // namespace
+
+StateFamily Reducer::Family(const ReduceSpec& spec, bool directional) {
+  const bool damped = spec.decay_lambda > 0.0;
+  // Damped 1D statistics become two-sided (one side per direction) at
+  // granularities that record direction.
+  const StateFamily damped_1d = directional ? StateFamily::kDamped2D : StateFamily::kDamped1D;
   switch (spec.fn) {
     case ReduceFn::kSum:
-      // Damped sum (decay > 0) is the decayed linear sum — the "weight"
-      // feature of Kitsune-style damped windows when applied to f_one.
-      if (lambda > 0.0) {
-        if (directional_) {
-          impl_ = DampedStats2D(lambda, mode);
-        } else {
-          impl_ = DampedStats(lambda, mode);
-        }
-      } else {
-        impl_ = exec_internal::SumAgg{};
-      }
-      break;
+      // Damped sum is the decayed linear sum — the "weight" feature of
+      // Kitsune-style damped windows when applied to f_one.
+      return damped ? damped_1d : StateFamily::kSum;
     case ReduceFn::kMax:
     case ReduceFn::kMin:
-      impl_ = exec_internal::MinMaxAgg{};
-      break;
+      return StateFamily::kMinMax;
     case ReduceFn::kMean:
     case ReduceFn::kVar:
     case ReduceFn::kStd:
-      if (lambda > 0.0) {
-        if (directional_) {
-          impl_ = DampedStats2D(lambda, mode);
-        } else {
-          impl_ = DampedStats(lambda, mode);
-        }
-      } else if (nic_) {
+      return damped ? damped_1d : StateFamily::kWelford;
+    case ReduceFn::kKur:
+    case ReduceFn::kSkew:
+      return StateFamily::kMoments;
+    case ReduceFn::kMag:
+    case ReduceFn::kRadius:
+    case ReduceFn::kCov:
+    case ReduceFn::kPcc:
+      return StateFamily::kDamped2D;  // lambda == 0 -> undamped.
+    case ReduceFn::kCard:
+      return StateFamily::kCard;
+    case ReduceFn::kArray:
+      return StateFamily::kArray;
+    case ReduceFn::kHist:
+    case ReduceFn::kPdf:
+    case ReduceFn::kCdf:
+      return StateFamily::kHist;
+    case ReduceFn::kPercent:
+      return StateFamily::kPercent;
+  }
+  return StateFamily::kSum;
+}
+
+Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional)
+    : spec_(spec), compensated_(options.compensated_batch) {
+  const double lambda = spec.decay_lambda;
+  const DampedMode mode = options.EffectiveDampedMode();
+  switch (Family(spec, directional)) {
+    case StateFamily::kSum:
+      impl_ = exec_internal::SumAgg{};
+      break;
+    case StateFamily::kMinMax:
+      impl_ = exec_internal::MinMaxAgg{};
+      break;
+    case StateFamily::kWelford:
+      if (options.nic_arithmetic) {
         impl_ = NicWelfordStats();
       } else {
         impl_ = WelfordStats();
       }
       break;
-    case ReduceFn::kKur:
-    case ReduceFn::kSkew:
+    case StateFamily::kDamped1D:
+      impl_ = DampedStats(lambda, mode);
+      break;
+    case StateFamily::kDamped2D:
+      impl_ = DampedStats2D(lambda, mode);
+      break;
+    case StateFamily::kMoments:
       impl_ = StreamingMoments();
       break;
-    case ReduceFn::kMag:
-    case ReduceFn::kRadius:
-    case ReduceFn::kCov:
-    case ReduceFn::kPcc:
-      impl_ = DampedStats2D(lambda, mode);  // lambda == 0 -> undamped.
-      break;
-    case ReduceFn::kCard:
+    case StateFamily::kCard:
       impl_ = HyperLogLog(6);  // 64 one-byte buckets (§6.1).
       break;
-    case ReduceFn::kArray:
-      impl_ = exec_internal::ArrayAgg{spec.array_limit != 0 ? spec.array_limit : 5000, {}};
+    case StateFamily::kArray:
+      impl_ = exec_internal::ArrayAgg{OutputWidth(spec), {}};
       break;
-    case ReduceFn::kHist:
-    case ReduceFn::kPdf:
-    case ReduceFn::kCdf:
+    case StateFamily::kHist:
       impl_ = FixedHistogram(std::max(spec.param0, 1e-9),
                              std::max(static_cast<int>(spec.param1), 1));
       break;
-    case ReduceFn::kPercent:
+    case StateFamily::kPercent:
       impl_ = exec_internal::LogHist{};
       break;
   }
 }
 
 void Reducer::Update(double value, double t_seconds, Direction dir) {
-  switch (spec_.fn) {
-    case ReduceFn::kSum:
-      if (auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
-        if (dir == Direction::kForward) {
-          two_sided->AddA(value, t_seconds);
-        } else {
-          two_sided->AddB(value, t_seconds);
-        }
-      } else if (auto* damped = std::get_if<DampedStats>(&impl_)) {
-        damped->Add(value, t_seconds);
-      } else {
-        std::get<exec_internal::SumAgg>(impl_).sum += value;
-      }
-      break;
-    case ReduceFn::kMax: {
-      auto& agg = std::get<exec_internal::MinMaxAgg>(impl_);
-      if (!agg.any || value > agg.value) {
-        agg.value = value;
-      }
-      agg.any = true;
-      break;
-    }
-    case ReduceFn::kMin: {
-      auto& agg = std::get<exec_internal::MinMaxAgg>(impl_);
-      if (!agg.any || value < agg.value) {
-        agg.value = value;
-      }
-      agg.any = true;
-      break;
-    }
-    case ReduceFn::kMean:
-    case ReduceFn::kVar:
-    case ReduceFn::kStd:
-      if (auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
-        if (dir == Direction::kForward) {
-          two_sided->AddA(value, t_seconds);
-        } else {
-          two_sided->AddB(value, t_seconds);
-        }
-      } else if (auto* damped = std::get_if<DampedStats>(&impl_)) {
-        damped->Add(value, t_seconds);
-      } else if (auto* nicw = std::get_if<NicWelfordStats>(&impl_)) {
-        nicw->Add(static_cast<int64_t>(std::llround(value)));
-      } else {
-        std::get<WelfordStats>(impl_).Add(value);
-      }
-      break;
-    case ReduceFn::kKur:
-    case ReduceFn::kSkew:
-      std::get<StreamingMoments>(impl_).Add(value);
-      break;
-    case ReduceFn::kMag:
-    case ReduceFn::kRadius:
-    case ReduceFn::kCov:
-    case ReduceFn::kPcc: {
-      auto& stats2d = std::get<DampedStats2D>(impl_);
-      if (dir == Direction::kForward) {
-        stats2d.AddA(value, t_seconds);
-      } else {
-        stats2d.AddB(value, t_seconds);
-      }
-      break;
-    }
-    case ReduceFn::kCard:
-      std::get<HyperLogLog>(impl_).AddU64(static_cast<uint64_t>(std::llround(value)));
-      break;
-    case ReduceFn::kArray: {
-      auto& agg = std::get<exec_internal::ArrayAgg>(impl_);
-      if (agg.values.size() < agg.limit) {
-        agg.values.push_back(value);
-      }
-      break;
-    }
-    case ReduceFn::kHist:
-    case ReduceFn::kPdf:
-    case ReduceFn::kCdf:
-      std::get<FixedHistogram>(impl_).Add(value);
-      break;
-    case ReduceFn::kPercent: {
-      auto& hist = std::get<exec_internal::LogHist>(impl_);
-      hist.buckets[batchkern::Log2Bucket(value)]++;
-      hist.total++;
-      break;
-    }
-  }
+  std::visit(
+      Overloaded{
+          [&](exec_internal::SumAgg& agg) { agg.sum += value; },
+          [&](exec_internal::MinMaxAgg& agg) {
+            if (!agg.any || value < agg.min) {
+              agg.min = value;
+            }
+            if (!agg.any || value > agg.max) {
+              agg.max = value;
+            }
+            agg.any = true;
+          },
+          [&](WelfordStats& w) { w.Add(value); },
+          [&](NicWelfordStats& w) { w.Add(static_cast<int64_t>(std::llround(value))); },
+          [&](DampedStats& damped) { damped.Add(value, t_seconds); },
+          [&](DampedStats2D& two_sided) {
+            if (dir == Direction::kForward) {
+              two_sided.AddA(value, t_seconds);
+            } else {
+              two_sided.AddB(value, t_seconds);
+            }
+          },
+          [&](StreamingMoments& moments) { moments.Add(value); },
+          [&](HyperLogLog& hll) { hll.AddU64(static_cast<uint64_t>(std::llround(value))); },
+          [&](exec_internal::ArrayAgg& agg) {
+            if (agg.values.size() < agg.limit) {
+              agg.values.push_back(value);
+            }
+          },
+          [&](FixedHistogram& hist) { hist.Add(value); },
+          [&](exec_internal::LogHist& hist) {
+            hist.buckets[batchkern::Log2Bucket(value)]++;
+            hist.total++;
+          },
+      },
+      impl_);
 }
 
 void Reducer::UpdateBatch(const double* values, const double* t_seconds,
@@ -194,132 +172,89 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
   if (n == 0) {
     return;
   }
-  switch (spec_.fn) {
-    case ReduceFn::kSum:
-      if (auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
-        two_sided->AddBatch(values, t_seconds, dir_sign, n);
-      } else if (auto* damped = std::get_if<DampedStats>(&impl_)) {
-        damped->AddBatch(values, t_seconds, n);
-      } else {
-        auto& agg = std::get<exec_internal::SumAgg>(impl_);
-        agg.sum += compensated_ ? batchkern::SumCompensated(values, n)
-                                : batchkern::Sum(values, n);
-      }
-      break;
-    case ReduceFn::kMax: {
-      auto& agg = std::get<exec_internal::MinMaxAgg>(impl_);
-      double mn = 0.0, mx = 0.0;
-      batchkern::MinMax(values, n, &mn, &mx);
-      if (!agg.any || mx > agg.value) {
-        agg.value = mx;
-      }
-      agg.any = true;
-      break;
-    }
-    case ReduceFn::kMin: {
-      auto& agg = std::get<exec_internal::MinMaxAgg>(impl_);
-      double mn = 0.0, mx = 0.0;
-      batchkern::MinMax(values, n, &mn, &mx);
-      if (!agg.any || mn < agg.value) {
-        agg.value = mn;
-      }
-      agg.any = true;
-      break;
-    }
-    case ReduceFn::kMean:
-    case ReduceFn::kVar:
-    case ReduceFn::kStd:
-      if (auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
-        two_sided->AddBatch(values, t_seconds, dir_sign, n);
-      } else if (auto* damped = std::get_if<DampedStats>(&impl_)) {
-        damped->AddBatch(values, t_seconds, n);
-      } else if (auto* nicw = std::get_if<NicWelfordStats>(&impl_)) {
-        nicw->AddBatchRounded(values, n);
-      } else {
-        std::get<WelfordStats>(impl_).AddBatch(values, n, compensated_);
-      }
-      break;
-    case ReduceFn::kKur:
-    case ReduceFn::kSkew:
-      std::get<StreamingMoments>(impl_).AddBatch(values, n, compensated_);
-      break;
-    case ReduceFn::kMag:
-    case ReduceFn::kRadius:
-    case ReduceFn::kCov:
-    case ReduceFn::kPcc:
-      std::get<DampedStats2D>(impl_).AddBatch(values, t_seconds, dir_sign, n);
-      break;
-    case ReduceFn::kCard: {
-      if (scratch_u64.size() < n) {
-        scratch_u64.resize(n);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        scratch_u64[i] = static_cast<uint64_t>(std::llround(values[i]));
-      }
-      std::get<HyperLogLog>(impl_).AddU64Batch(scratch_u64.data(), n);
-      break;
-    }
-    case ReduceFn::kArray: {
-      auto& agg = std::get<exec_internal::ArrayAgg>(impl_);
-      for (size_t i = 0; i < n && agg.values.size() < agg.limit; ++i) {
-        agg.values.push_back(values[i]);
-      }
-      break;
-    }
-    case ReduceFn::kHist:
-    case ReduceFn::kPdf:
-    case ReduceFn::kCdf:
-      std::get<FixedHistogram>(impl_).AddBatch(values, n);
-      break;
-    case ReduceFn::kPercent:
-      std::get<exec_internal::LogHist>(impl_).AddBatch(values, n);
-      break;
-  }
+  std::visit(
+      Overloaded{
+          [&](exec_internal::SumAgg& agg) {
+            agg.sum += compensated_ ? batchkern::SumCompensated(values, n)
+                                    : batchkern::Sum(values, n);
+          },
+          [&](exec_internal::MinMaxAgg& agg) {
+            double mn = 0.0, mx = 0.0;
+            batchkern::MinMax(values, n, &mn, &mx);
+            if (!agg.any || mn < agg.min) {
+              agg.min = mn;
+            }
+            if (!agg.any || mx > agg.max) {
+              agg.max = mx;
+            }
+            agg.any = true;
+          },
+          [&](WelfordStats& w) { w.AddBatch(values, n, compensated_); },
+          [&](NicWelfordStats& w) { w.AddBatchRounded(values, n); },
+          [&](DampedStats& damped) { damped.AddBatch(values, t_seconds, n); },
+          [&](DampedStats2D& two_sided) { two_sided.AddBatch(values, t_seconds, dir_sign, n); },
+          [&](StreamingMoments& moments) { moments.AddBatch(values, n, compensated_); },
+          [&](HyperLogLog& hll) {
+            if (scratch_u64.size() < n) {
+              scratch_u64.resize(n);
+            }
+            for (size_t i = 0; i < n; ++i) {
+              scratch_u64[i] = static_cast<uint64_t>(std::llround(values[i]));
+            }
+            hll.AddU64Batch(scratch_u64.data(), n);
+          },
+          [&](exec_internal::ArrayAgg& agg) {
+            for (size_t i = 0; i < n && agg.values.size() < agg.limit; ++i) {
+              agg.values.push_back(values[i]);
+            }
+          },
+          [&](FixedHistogram& hist) { hist.AddBatch(values, n); },
+          [&](exec_internal::LogHist& hist) { hist.AddBatch(values, n); },
+      },
+      impl_);
 }
 
-void Reducer::Emit(std::vector<double>& out, Direction dir) const {
-  // Directional 1D statistics report the emitting packet's side.
-  const DampedStats* side = nullptr;
-  if (directional_) {
-    const auto& two_sided = std::get<DampedStats2D>(impl_);
-    side = dir == Direction::kForward ? &two_sided.a() : &two_sided.b();
+const DampedStats& Reducer::DampedSide(Direction dir) const {
+  if (const auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
+    return dir == Direction::kForward ? two_sided->a() : two_sided->b();
   }
-  switch (spec_.fn) {
+  return std::get<DampedStats>(impl_);
+}
+
+void Reducer::EmitAs(const ReduceSpec& spec, std::vector<double>& out, Direction dir) const {
+  switch (spec.fn) {
     case ReduceFn::kSum:
-      if (side != nullptr) {
-        out.push_back(side->linear_sum());
-      } else if (const auto* damped = std::get_if<DampedStats>(&impl_)) {
-        out.push_back(damped->linear_sum());
+      if (const auto* agg = std::get_if<exec_internal::SumAgg>(&impl_)) {
+        out.push_back(agg->sum);
       } else {
-        out.push_back(std::get<exec_internal::SumAgg>(impl_).sum);
+        out.push_back(DampedSide(dir).linear_sum());
       }
       break;
     case ReduceFn::kMax:
+      out.push_back(std::get<exec_internal::MinMaxAgg>(impl_).max);
+      break;
     case ReduceFn::kMin:
-      out.push_back(std::get<exec_internal::MinMaxAgg>(impl_).value);
+      out.push_back(std::get<exec_internal::MinMaxAgg>(impl_).min);
       break;
     case ReduceFn::kMean:
     case ReduceFn::kVar:
     case ReduceFn::kStd: {
       double mean = 0.0;
       double var = 0.0;
-      if (side != nullptr) {
-        mean = side->mean();
-        var = side->variance();
-      } else if (const auto* damped = std::get_if<DampedStats>(&impl_)) {
-        mean = damped->mean();
-        var = damped->variance();
-      } else if (const auto* nicw = std::get_if<NicWelfordStats>(&impl_)) {
+      if (const auto* nicw = std::get_if<NicWelfordStats>(&impl_)) {
         mean = nicw->mean();
         var = nicw->variance();
+      } else if (const auto* w = std::get_if<WelfordStats>(&impl_)) {
+        mean = w->mean();
+        var = w->variance();
       } else {
-        const auto& w = std::get<WelfordStats>(impl_);
-        mean = w.mean();
-        var = w.variance();
+        const DampedStats& side = DampedSide(dir);
+        mean = side.mean();
+        var = side.variance();
       }
-      if (spec_.fn == ReduceFn::kMean) {
+      if (spec.fn == ReduceFn::kMean) {
         out.push_back(mean);
-      } else if (spec_.fn == ReduceFn::kVar) {
+      } else if (spec.fn == ReduceFn::kVar) {
         out.push_back(var);
       } else {
         out.push_back(std::sqrt(var));
@@ -349,12 +284,8 @@ void Reducer::Emit(std::vector<double>& out, Direction dir) const {
       break;
     case ReduceFn::kArray: {
       const auto& agg = std::get<exec_internal::ArrayAgg>(impl_);
-      for (double v : agg.values) {
-        out.push_back(v);
-      }
-      for (size_t i = agg.values.size(); i < agg.limit; ++i) {
-        out.push_back(0.0);  // Fixed-width padding for ML consumers.
-      }
+      out.insert(out.end(), agg.values.begin(), agg.values.end());
+      out.resize(out.size() + (agg.limit - agg.values.size()), 0.0);  // Fixed-width padding.
       break;
     }
     case ReduceFn::kHist: {
@@ -365,20 +296,18 @@ void Reducer::Emit(std::vector<double>& out, Direction dir) const {
       break;
     }
     case ReduceFn::kPdf: {
-      for (double v : std::get<FixedHistogram>(impl_).Pdf()) {
-        out.push_back(v);
-      }
+      const std::vector<double> pdf = std::get<FixedHistogram>(impl_).Pdf();
+      out.insert(out.end(), pdf.begin(), pdf.end());
       break;
     }
     case ReduceFn::kCdf: {
-      for (double v : std::get<FixedHistogram>(impl_).Cdf()) {
-        out.push_back(v);
-      }
+      const std::vector<double> cdf = std::get<FixedHistogram>(impl_).Cdf();
+      out.insert(out.end(), cdf.begin(), cdf.end());
       break;
     }
     case ReduceFn::kPercent: {
       const auto& hist = std::get<exec_internal::LogHist>(impl_);
-      const double q = std::clamp(spec_.param0, 0.0, 1.0);
+      const double q = std::clamp(spec.param0, 0.0, 1.0);
       if (hist.total == 0) {
         out.push_back(0.0);
         break;
@@ -487,6 +416,20 @@ Result<ExecPlan> ExecPlan::FromProgram(const NicProgram& program) {
   for (Granularity g : program.granularities) {
     GranularityPlan gp;
     gp.granularity = g;
+    // flow carries no direction information (Table 5); the other
+    // granularities record it, making damped 1D statistics directional.
+    const bool directional = g != Granularity::kFlow;
+    // Owner key: (source field, state family, λ, family parameters).
+    struct OwnerKey {
+      int src = 0;
+      StateFamily family = StateFamily::kSum;
+      double lambda = 0.0;
+      double param0 = 0.0;
+      double param1 = 0.0;
+      uint32_t limit = 0;
+      auto operator<=>(const OwnerKey&) const = default;
+    };
+    std::map<OwnerKey, uint32_t> owner_index;
     for (const auto& slot : program.layout) {
       if (slot.granularity != g) {
         continue;
@@ -495,18 +438,29 @@ Result<ExecPlan> ExecPlan::FromProgram(const NicProgram& program) {
       if (it == field_index.end()) {
         return Status::Internal("exec plan: unresolved reduce source '" + slot.field + "'");
       }
-      gp.reduces.push_back(ReduceStep{it->second, slot.spec});
+      OwnerKey key{.src = it->second,
+                   .family = Reducer::Family(slot.spec, directional),
+                   .lambda = slot.spec.decay_lambda};
+      if (key.family == StateFamily::kHist) {
+        key.param0 = slot.spec.param0;
+        key.param1 = slot.spec.param1;
+      } else if (key.family == StateFamily::kArray) {
+        key.limit = OutputWidth(slot.spec);
+      }
+      const auto [owner, inserted] =
+          owner_index.emplace(key, static_cast<uint32_t>(gp.owners.size()));
+      if (inserted) {
+        gp.owners.push_back(ReduceStep{it->second, slot.spec});
+      }
       gp.slots.push_back(slot);
+      gp.owner_of.push_back(owner->second);
+      gp.width += slot.Width();
     }
+    plan.width += gp.width;
     plan.per_granularity.push_back(std::move(gp));
   }
-  bool any = false;
-  for (const auto& gp : plan.per_granularity) {
-    if (!gp.reduces.empty()) {
-      any = true;
-    }
-  }
-  if (!any) {
+  if (std::all_of(plan.per_granularity.begin(), plan.per_granularity.end(),
+                  [](const GranularityPlan& gp) { return gp.slots.empty(); })) {
     return Status::Internal("exec plan: no collected features");
   }
   if (plan.field_count > 64) {
@@ -518,7 +472,7 @@ Result<ExecPlan> ExecPlan::FromProgram(const NicProgram& program) {
     }
   }
   for (const auto& gp : plan.per_granularity) {
-    for (const auto& r : gp.reduces) {
+    for (const auto& r : gp.owners) {
       if (r.src == kFieldFgKey) {
         plan.uses_fg_key = true;
       }
@@ -669,11 +623,9 @@ bool PacketBatchSoA::SamePrefix(size_t a, size_t b, int prefix_bytes) const {
 GroupState GroupState::Make(const ExecPlan& plan, size_t gi, const ExecOptions& options) {
   GroupState state;
   const auto& gp = plan.per_granularity[gi];
-  // flow carries no direction information (Table 5); the other
-  // granularities record it, making damped 1D statistics directional.
   const bool directional = gp.granularity != Granularity::kFlow;
-  state.reducers.reserve(gp.reduces.size());
-  for (const auto& r : gp.reduces) {
+  state.reducers.reserve(gp.owners.size());
+  for (const auto& r : gp.owners) {
     state.reducers.emplace_back(r.spec, options, directional);
   }
   return state;
@@ -722,9 +674,9 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
     fields[m.dst] = dst;
   }
 
-  const auto& gp = plan.per_granularity[gi];
-  for (size_t i = 0; i < gp.reduces.size(); ++i) {
-    group.reducers[i].Update(fields[gp.reduces[i].src], t_seconds, cell.direction);
+  const auto& owners = plan.per_granularity[gi].owners;
+  for (size_t i = 0; i < owners.size(); ++i) {
+    group.reducers[i].Update(fields[owners[i].src], t_seconds, cell.direction);
   }
 
   last_ts = t_ns;
@@ -814,11 +766,11 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
     group.last_dir = dir_sign;
   }
 
-  // Each reducer consumes its source column as one bulk call.
+  // Each owner state consumes its source column as one bulk call.
   const double* ts = soa.t_seconds.data() + begin;
   const double* dirs = soa.dir_sign.data() + begin;
-  for (size_t i = 0; i < gp.reduces.size(); ++i) {
-    group.reducers[i].UpdateBatch(col[gp.reduces[i].src] + begin, ts, dirs, n,
+  for (size_t i = 0; i < gp.owners.size(); ++i) {
+    group.reducers[i].UpdateBatch(col[gp.owners[i].src] + begin, ts, dirs, n,
                                   soa.scratch_u64);
   }
 
@@ -832,25 +784,47 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
 void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
                        std::vector<double>& out) {
   const auto& gp = plan.per_granularity[gi];
-  for (size_t i = 0; i < gp.reduces.size(); ++i) {
-    std::vector<double> block;
-    group.reducers[i].Emit(block, group.last_direction);
-    for (const auto& step : gp.slots[i].synths) {
-      block = ApplySynth(step, std::move(block));
+  for (size_t i = 0; i < gp.slots.size(); ++i) {
+    const FeatureSlot& slot = gp.slots[i];
+    const Reducer& owner = group.reducers[gp.owner_of[i]];
+    const size_t begin = out.size();
+    if (slot.synths.empty()) {
+      owner.EmitAs(slot.spec, out, group.last_direction);
+    } else {
+      std::vector<double> block;
+      owner.EmitAs(slot.spec, block, group.last_direction);
+      for (const auto& step : slot.synths) {
+        block = ApplySynth(step, std::move(block));
+      }
+      out.insert(out.end(), block.begin(), block.end());
     }
     // Fixed layout: pad/truncate to the slot's declared width.
-    const uint32_t width = gp.slots[i].Width();
-    block.resize(width, 0.0);
-    out.insert(out.end(), block.begin(), block.end());
+    out.resize(begin + slot.Width(), 0.0);
   }
 }
 
-uint32_t GranularityFeatureWidth(const ExecPlan& plan, size_t gi) {
-  uint32_t width = 0;
-  for (const auto& slot : plan.per_granularity[gi].slots) {
-    width += slot.Width();
+FeatureVector AssembleVector(const ExecPlan& plan, const GroupTables& tables,
+                             const std::array<const GroupState*, 4>& groups,
+                             const FiveTuple& fg_tuple, const GroupKey& key,
+                             uint64_t timestamp_ns) {
+  FeatureVector vector;
+  vector.group = key;
+  vector.timestamp_ns = timestamp_ns;
+  vector.values.reserve(plan.width);
+  for (size_t gi = 0; gi < plan.per_granularity.size(); ++gi) {
+    const auto& gp = plan.per_granularity[gi];
+    const GroupState* group = groups[gi];
+    if (group == nullptr) {
+      const GroupKey sibling = GroupKey::FromFgTuple(fg_tuple, gp.granularity);
+      group = tables[gi]->Find(sibling, sibling.Hash());
+    }
+    if (group != nullptr) {
+      EmitGroupFeatures(plan, gi, *group, vector.values);
+    } else {
+      vector.values.resize(vector.values.size() + gp.width, 0.0);
+    }
   }
-  return width;
+  return vector;
 }
 
 }  // namespace superfe

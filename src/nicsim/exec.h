@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/feature_vector.h"
+#include "nicsim/group_table.h"
 #include "policy/compile.h"
 #include "streaming/damped.h"
 #include "streaming/histogram.h"
@@ -55,9 +57,11 @@ namespace exec_internal {
 struct SumAgg {
   double sum = 0.0;
 };
+// f_min and f_max share one state (batchkern::MinMax yields both).
 struct MinMaxAgg {
   bool any = false;
-  double value = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
 struct ArrayAgg {
   uint32_t limit = 0;
@@ -77,7 +81,25 @@ struct LogHist {
 
 }  // namespace exec_internal
 
-// One reducing-function instance for one group.
+// The per-group state a reducing function reads. Collected features whose
+// state family, source field, decay λ and family parameters agree share one
+// state (ExecPlan's owner table); docs/ARCHITECTURE.md, "Per-statistic group
+// state".
+enum class StateFamily : uint8_t {
+  kSum,        // Plain f_sum.
+  kMinMax,     // f_min, f_max.
+  kWelford,    // Undamped f_mean, f_var, f_std.
+  kDamped1D,   // Damped f_sum, f_mean, f_var, f_std at flow granularity.
+  kDamped2D,   // f_mag, f_radius, f_cov, f_pcc, plus the damped 1D
+               // statistics at direction-recording granularities.
+  kMoments,    // f_skew, f_kur.
+  kCard,       // f_card.
+  kArray,      // f_array (per limit).
+  kHist,       // ft_hist, f_pdf, f_cdf (per bucket width and count).
+  kPercent,    // ft_percent (one log histogram serves every q).
+};
+
+// One per-group state of a reducing-function family.
 //
 // At direction-recording granularities (host/channel/socket, Table 5) the
 // damped 1D statistics are *directional*: each direction's sub-stream is
@@ -86,7 +108,12 @@ struct LogHist {
 // through MGPV, since each lives inside one coarse-granularity group.
 class Reducer {
  public:
+  // Builds the state of `spec`'s family.
   Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional);
+
+  // The state family `spec` reads at a granularity that does (or does not)
+  // record direction.
+  static StateFamily Family(const ReduceSpec& spec, bool directional);
 
   // Feeds one sample. `t_seconds` is the packet time (damped windows);
   // `dir` routes bidirectional and directional statistics.
@@ -101,16 +128,25 @@ class Reducer {
                    const double* dir_sign, size_t n,
                    std::vector<uint64_t>& scratch_u64);
 
-  // Appends this reducer's OutputWidth(spec) feature values. `dir` selects
-  // the side of directional statistics (the emitting packet's direction).
-  void Emit(std::vector<double>& out, Direction dir = Direction::kForward) const;
+  // Appends the OutputWidth(spec) feature values of `spec`, any member of
+  // this state's family. `dir` selects the side of directional statistics
+  // (the emitting packet's direction).
+  void EmitAs(const ReduceSpec& spec, std::vector<double>& out,
+              Direction dir = Direction::kForward) const;
+
+  // EmitAs(spec()).
+  void Emit(std::vector<double>& out, Direction dir = Direction::kForward) const {
+    EmitAs(spec_, out, dir);
+  }
 
   const ReduceSpec& spec() const { return spec_; }
 
  private:
+  // The 1D damped statistics a damped sum/mean/var/std reads: the state
+  // itself, or the `dir` side of a directional two-sided state.
+  const DampedStats& DampedSide(Direction dir) const;
+
   ReduceSpec spec_;
-  bool nic_ = true;
-  bool directional_ = false;
   bool compensated_ = false;
   std::variant<exec_internal::SumAgg, exec_internal::MinMaxAgg, WelfordStats, NicWelfordStats,
                DampedStats, StreamingMoments, DampedStats2D, HyperLogLog,
@@ -141,17 +177,23 @@ struct ExecPlan {
   };
   struct ReduceStep {
     int src = 0;
-    ReduceSpec spec;
+    ReduceSpec spec;  // The first member's spec; builds the state.
   };
   struct GranularityPlan {
     Granularity granularity = Granularity::kFlow;
-    std::vector<ReduceStep> reduces;  // In layout order.
-    std::vector<FeatureSlot> slots;   // Parallel to reduces (synth chains).
+    // Owner table: one state per distinct (source field, state family, λ,
+    // family parameters), in first-use order. GroupState::reducers is
+    // parallel to it.
+    std::vector<ReduceStep> owners;
+    std::vector<FeatureSlot> slots;  // Collected features, layout order.
+    std::vector<uint32_t> owner_of;  // Parallel to slots: index into owners.
+    uint32_t width = 0;              // Sum of the slots' widths.
   };
 
   int field_count = 4;
   std::vector<MapStep> maps;
   std::vector<GranularityPlan> per_granularity;  // Chain order.
+  uint32_t width = 0;  // Feature-vector width, all granularities.
   // True when any map or reduce reads the fgkey builtin — the batch path
   // computes the per-cell CRC column lazily and only when needed.
   bool uses_fg_key = false;
@@ -231,7 +273,7 @@ struct GroupState {
   int last_dir = 0;
   double burst_len = 0.0;
 
-  std::vector<Reducer> reducers;  // Parallel to the granularity plan's reduces.
+  std::vector<Reducer> reducers;  // Parallel to the granularity plan's owners.
 
   // Bookkeeping for emission.
   uint64_t packets = 0;
@@ -248,19 +290,30 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
 
 // Updates one group with the sorted batch rows [begin, end) — one
 // contiguous run of the group's cells. Maps run row-major (the ipt/burst
-// recurrences are inherently sequential); each reducer then consumes its
-// source column as one bulk call. Equivalent to per-cell UpdateGroup calls
-// under the exactness contract in streaming/batch.h.
+// recurrences are inherently sequential); each owner state then consumes
+// its source column as one bulk call. Equivalent to per-cell UpdateGroup
+// calls under the exactness contract in streaming/batch.h.
 void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
                       PacketBatchSoA& soa, size_t begin, size_t end);
 
-// Emits the group's feature block for granularity index `gi`: reducer
-// outputs with synthesize chains applied, appended to `out`.
+// Emits the group's feature block for granularity index `gi`: every slot
+// from its owner state, synthesize chains applied, appended to `out`.
 void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
                        std::vector<double>& out);
 
-// Feature width of granularity index `gi` (for zero-fill of absent groups).
-uint32_t GranularityFeatureWidth(const ExecPlan& plan, size_t gi);
+// Per-granularity group tables of one executor, in chain order.
+using GroupTables = std::vector<std::unique_ptr<GroupTable<GroupState>>>;
+
+// Builds one feature vector in the plan's layout, granularity by
+// granularity. groups[gi] supplies granularity gi's block; a null entry is
+// looked up in tables[gi] under the key `fg_tuple` derives there, and the
+// block is zero-filled when that group is absent too. Per-packet collection
+// passes every group the cell touched; a collect-unit vector passes only the
+// unit group, with its last FG tuple.
+FeatureVector AssembleVector(const ExecPlan& plan, const GroupTables& tables,
+                             const std::array<const GroupState*, 4>& groups,
+                             const FiveTuple& fg_tuple, const GroupKey& key,
+                             uint64_t timestamp_ns);
 
 }  // namespace superfe
 

@@ -180,7 +180,7 @@ void FeNic::ProcessReportScalarLocked(const MgpvReport& report) {
 
     // Locate and update the group at every granularity in the chain. The
     // cell's initiator-oriented FG tuple derives every key (§5.1).
-    std::array<GroupState*, 4> touched{};
+    std::array<const GroupState*, 4> touched{};
     for (size_t gi = 0; gi < grans.size(); ++gi) {
       const GroupKey key = GroupKey::FromFgTuple(cell.fg_tuple, grans[gi]);
       const uint32_t hash = key.Hash();
@@ -199,16 +199,12 @@ void FeNic::ProcessReportScalarLocked(const MgpvReport& report) {
     perf_.AccountCell(work);
 
     if (per_packet) {
-      FeatureVector vector;
-      vector.group = GroupKey::FromFgTuple(cell.fg_tuple, compiled_.switch_program.fg());
-      vector.timestamp_ns = cell.full_timestamp_ns;
-      vector.values.reserve(compiled_.nic_program.FeatureDimension());
-      for (size_t gi = 0; gi < grans.size(); ++gi) {
-        EmitGroupFeatures(plan_, gi, *touched[gi], vector.values);
-      }
       stats_.vectors_emitted++;
       obs::Inc(local_.vectors_emitted);
-      sink_->OnFeatureVector(std::move(vector));
+      sink_->OnFeatureVector(AssembleVector(
+          plan_, tables_, touched, cell.fg_tuple,
+          GroupKey::FromFgTuple(cell.fg_tuple, compiled_.switch_program.fg()),
+          cell.full_timestamp_ns));
     }
   }
 }
@@ -281,30 +277,13 @@ void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
   perf_.AccountBatch(work);
 }
 
-void FeNic::EmitVector(const GroupKey& unit_key, const GroupState& unit_group) {
-  const auto& grans = compiled_.nic_program.granularities;
-  FeatureVector vector;
-  vector.group = unit_key;
-  vector.timestamp_ns = unit_group.last_seen_ns;
-  vector.values.reserve(compiled_.nic_program.FeatureDimension());
-
-  for (size_t gi = 0; gi < grans.size(); ++gi) {
-    if (grans[gi] == unit_key.granularity) {
-      EmitGroupFeatures(plan_, gi, unit_group, vector.values);
-      continue;
-    }
-    // Sibling granularity: derive its key from the unit group's last packet.
-    const GroupKey sibling_key = GroupKey::FromFgTuple(unit_group.last_fg_tuple, grans[gi]);
-    GroupState* sibling = tables_[gi]->Find(sibling_key, sibling_key.Hash());
-    if (sibling != nullptr) {
-      EmitGroupFeatures(plan_, gi, *sibling, vector.values);
-    } else {
-      vector.values.resize(vector.values.size() + GranularityFeatureWidth(plan_, gi), 0.0);
-    }
-  }
+void FeNic::EmitVector(size_t unit_gi, const GroupKey& unit_key, const GroupState& unit_group) {
+  std::array<const GroupState*, 4> groups{};
+  groups[unit_gi] = &unit_group;
   stats_.vectors_emitted++;
   obs::Inc(local_.vectors_emitted);
-  sink_->OnFeatureVector(std::move(vector));
+  sink_->OnFeatureVector(AssembleVector(plan_, tables_, groups, unit_group.last_fg_tuple,
+                                        unit_key, unit_group.last_seen_ns));
 }
 
 void FeNic::EvictIdleGroups(uint64_t now_ns) {
@@ -326,7 +305,7 @@ void FeNic::EvictIdleGroupsLocked(uint64_t now_ns) {
     tables_[gi]->ForEach([&](const GroupKey& key, GroupState& group) {
       if (now_ns > group.last_seen_ns &&
           now_ns - group.last_seen_ns > config_.idle_timeout_ns) {
-        EmitVector(key, group);
+        EmitVector(gi, key, group);
         expired.push_back(key);
       }
     });
@@ -346,7 +325,7 @@ void FeNic::Flush() {
         continue;
       }
       tables_[gi]->ForEach(
-          [&](const GroupKey& key, GroupState& group) { EmitVector(key, group); });
+          [&](const GroupKey& key, GroupState& group) { EmitVector(gi, key, group); });
     }
   }
   for (auto& table : tables_) {

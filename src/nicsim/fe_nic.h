@@ -157,9 +157,9 @@ class FeNic : public MgpvSink {
   // SoA path: assemble, sort, and apply per-group runs as bulk calls.
   void ProcessBatchLocked(const MgpvReport* reports, size_t count);
 
-  // Builds and emits a feature vector for the collect-unit group `unit`.
-  // Coarser/finer sibling groups are located via the group's last FG tuple.
-  void EmitVector(const GroupKey& unit_key, const GroupState& unit_group);
+  // Builds and emits a feature vector for the collect-unit group at
+  // granularity index `unit_gi` (AssembleVector locates its siblings).
+  void EmitVector(size_t unit_gi, const GroupKey& unit_key, const GroupState& unit_group);
 
   CompiledPolicy compiled_;
   FeNicConfig config_;
@@ -192,7 +192,7 @@ class FeNic : public MgpvSink {
   mutable std::mutex mu_;
 
   // One group table per granularity in the chain.
-  std::vector<std::unique_ptr<GroupTable<GroupState>>> tables_;
+  GroupTables tables_;
 
   // Reusable SoA view for the batch path (guarded by mu_ like all state).
   PacketBatchSoA batch_;

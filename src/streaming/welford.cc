@@ -1,7 +1,7 @@
 #include "streaming/welford.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 
 namespace superfe {
 
@@ -14,57 +14,46 @@ void WelfordStats::Add(double x) {
 
 double WelfordStats::stddev() const { return std::sqrt(variance()); }
 
-namespace {
+namespace welford_internal {
 
-// Floor of log2 for positive values.
-inline int ILog2(uint64_t v) { return 63 - __builtin_clzll(v); }
-
-// Division-free update: drains `acc` into `target` in power-of-two
-// quotient steps (q * den <= |acc|), leaving the residue in `acc`. This is
-// the §6.2 division elimination: only comparisons, shifts and subtracts.
 void DrainResidue(int64_t& acc, int64_t den, int64_t& target) {
-  while (acc >= den) {
-    // clz-derived shift; can overshoot by one, corrected by the compare.
-    const int shift = ILog2(static_cast<uint64_t>(acc)) - ILog2(static_cast<uint64_t>(den));
-    int64_t q = int64_t{1} << shift;
-    if (q * den > acc) {
-      q >>= 1;
-    }
-    target += q;
-    acc -= q * den;
-  }
-  while (-acc >= den) {
-    int shift = ILog2(static_cast<uint64_t>(-acc)) - ILog2(static_cast<uint64_t>(den));
-    int64_t q = int64_t{1} << shift;
-    if (q * den > -acc) {
-      q >>= 1;
-    }
-    target -= q;
-    acc += q * den;
-  }
+  target += acc / den;
+  acc %= den;
 }
 
-}  // namespace
+void DrainResidue(NicWelfordStats::Int128& acc, int64_t den, NicWelfordStats::Int128& target) {
+  // A 128-bit divide is a library call; the residue almost always fits.
+  if (acc >= INT64_MIN && acc <= INT64_MAX) {
+    const int64_t narrow = static_cast<int64_t>(acc);
+    target += narrow / den;
+    acc = narrow % den;
+    return;
+  }
+  target += acc / den;
+  acc %= den;
+}
+
+}  // namespace welford_internal
 
 void NicWelfordStats::Add(int64_t x) {
+  using welford_internal::DrainResidue;
   ++n_;
   const int64_t n = static_cast<int64_t>(n_);
   const int64_t delta = x - mean_;
   if (n_ <= kExactThreshold) {
     mean_ += delta / n;
     ++divisions_;
-    const int64_t delta2 = x - mean_;
-    var_ += (delta * delta2 - var_) / n;
+    Int128 step = Int128{delta} * (x - mean_) - var_;
+    DrainResidue(step, n, var_);  // var_ += step / n; the remainder is dropped.
     ++divisions_;
     return;
   }
-  // Division elimination (§6.2): accumulate the residue and apply it in
-  // power-of-two steps; the mean then tracks within one unit of the exact
-  // integer Welford recurrence without any divider use.
+  // Division elimination (§6.2): accumulate the residue and move only its
+  // whole multiples of n; the mean then tracks within one unit of the exact
+  // integer Welford recurrence without any divider use on the NFP.
   mean_acc_ += delta;
   DrainResidue(mean_acc_, n, mean_);
-  const int64_t delta2 = x - mean_;
-  var_acc_ += delta * delta2 - var_;
+  var_acc_ += Int128{delta} * (x - mean_) - var_;
   DrainResidue(var_acc_, n, var_);
 }
 

@@ -35,13 +35,21 @@ class WelfordStats {
 };
 
 // The NFP variant: no FPU and a 1500-cycle software divider, so all state is
-// integer and the per-sample division by n is eliminated (§6.2). A residue
-// accumulator is drained into the mean in power-of-two quotient steps
-// (comparisons + shifts only), which keeps the integer mean within one unit
-// of the exact recurrence and still tracks non-stationary streams. The
-// integer rounding is the (small) error Fig 10 measures for SuperFE.
+// integer and the per-sample division by n is eliminated (§6.2). After a
+// short warm-up of real divisions, each sample's deviation accumulates in a
+// residue and only whole multiples of n move into the mean and variance, so
+// the integer mean tracks within one unit of the exact recurrence and still
+// follows non-stationary streams. The NFP drains the residue in power-of-two
+// quotient steps (comparisons and shifts only), and the cost model charges
+// exactly that; the host drains it with one native division, which gives the
+// same quotient and remainder. The squared-deviation products and the
+// variance state are 128-bit, so samples billions of units from the mean
+// (bytes/s rates) cannot overflow. The integer rounding is the (small) error
+// Fig 10 measures for SuperFE.
 class NicWelfordStats {
  public:
+  using Int128 = __int128;
+
   void Add(int64_t x);
   // Bulk insert, bit-identical to n scalar Adds (the integer residue drain
   // is order-dependent by construction); amortizes reducer dispatch.
@@ -64,11 +72,23 @@ class NicWelfordStats {
 
   uint64_t n_ = 0;
   int64_t mean_ = 0;
-  int64_t var_ = 0;
   int64_t mean_acc_ = 0;
-  int64_t var_acc_ = 0;
   uint64_t divisions_ = 0;
+  Int128 var_ = 0;
+  Int128 var_acc_ = 0;
 };
+
+// The residue drain, exposed so tests can check it against the NFP's.
+namespace welford_internal {
+
+// Moves the whole multiples of `den` (> 0) in `acc` into `target`:
+// target += acc / den, acc %= den, with C++ truncation, so the residue
+// keeps acc's sign. This is what the NFP's power-of-two drain computes.
+void DrainResidue(int64_t& acc, int64_t den, int64_t& target);
+// Same over 128 bits; divides in 64 bits whenever the residue fits.
+void DrainResidue(NicWelfordStats::Int128& acc, int64_t den, NicWelfordStats::Int128& target);
+
+}  // namespace welford_internal
 
 }  // namespace superfe
 

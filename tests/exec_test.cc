@@ -254,8 +254,10 @@ pktstream
 )");
   ASSERT_EQ(plan.per_granularity.size(), 2u);
   EXPECT_EQ(plan.per_granularity[0].granularity, Granularity::kHost);
-  EXPECT_EQ(plan.per_granularity[0].reduces.size(), 1u);
-  EXPECT_EQ(plan.per_granularity[1].reduces.size(), 1u);
+  EXPECT_EQ(plan.per_granularity[0].slots.size(), 1u);
+  EXPECT_EQ(plan.per_granularity[1].slots.size(), 1u);
+  EXPECT_EQ(plan.per_granularity[0].owners.size(), 1u);
+  EXPECT_EQ(plan.per_granularity[1].owners.size(), 1u);
   EXPECT_EQ(plan.maps.size(), 2u);
   EXPECT_EQ(plan.field_count, 6);  // 4 builtins + one, ipt.
 }
@@ -343,8 +345,9 @@ pktstream
   .reduce(size, [ft_hist{100, 8}], channel)
   .collect(pkt)
 )");
-  EXPECT_EQ(GranularityFeatureWidth(plan, 0), 2u);
-  EXPECT_EQ(GranularityFeatureWidth(plan, 1), 8u);
+  EXPECT_EQ(plan.per_granularity[0].width, 2u);
+  EXPECT_EQ(plan.per_granularity[1].width, 8u);
+  EXPECT_EQ(plan.width, 10u);
 }
 
 }  // namespace

@@ -128,6 +128,11 @@ struct BadPolicyCase {
   const char* source;
 };
 
+// Without a printer gtest dumps the struct's raw bytes, i.e. two pointers
+// whose values change with every run under ASLR, and the dump ends up in the
+// ctest names that gtest_discover_tests records. Print the case name instead.
+void PrintTo(const BadPolicyCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadPolicyCase> {};
 
 TEST_P(ParserErrorTest, Rejects) {

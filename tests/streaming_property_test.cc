@@ -73,6 +73,65 @@ TEST_P(SeededTest, NicWelfordTracksExactWithinUnits) {
   EXPECT_LT(RelativeError(nic.variance(), exact.variance()), 0.05);
 }
 
+// The §6.2 drain as the NFP runs it: power-of-two quotient steps found with
+// comparisons and shifts only. The host's one-division drain must leave the
+// same quotient in `target` and the same residue in `acc`.
+template <typename T>
+int FloorLog2(T v) {
+  int log = -1;
+  for (; v > 0; v >>= 1) {
+    ++log;
+  }
+  return log;
+}
+
+template <typename T>
+void PowerOfTwoDrain(T& acc, int64_t den, T& target) {
+  while (acc >= den) {
+    T q = T{1} << (FloorLog2(acc) - FloorLog2(T{den}));
+    if (q * den > acc) {
+      q >>= 1;
+    }
+    target += q;
+    acc -= q * den;
+  }
+  while (-acc >= den) {
+    T q = T{1} << (FloorLog2(-acc) - FloorLog2(T{den}));
+    if (q * den > -acc) {
+      q >>= 1;
+    }
+    target -= q;
+    acc += q * den;
+  }
+}
+
+TEST_P(SeededTest, OneDivisionDrainMatchesPowerOfTwoDrain) {
+  using Int128 = NicWelfordStats::Int128;
+  Rng rng(GetParam() ^ 0xd7);
+  for (int i = 0; i < 4000; ++i) {
+    const int64_t den = 1 + static_cast<int64_t>(rng.NextU64() >> (24 + rng.UniformU64(40)));
+    const int64_t sign = rng.Bernoulli(0.5) ? 1 : -1;
+    const int64_t acc = sign * static_cast<int64_t>(rng.NextU64() >> (1 + rng.UniformU64(63)));
+    const int64_t target = rng.UniformInt(-1000000, 1000000);
+
+    int64_t acc_oracle = acc, target_oracle = target;
+    PowerOfTwoDrain(acc_oracle, den, target_oracle);
+    int64_t acc_host = acc, target_host = target;
+    welford_internal::DrainResidue(acc_host, den, target_host);
+    ASSERT_EQ(acc_host, acc_oracle) << acc << " / " << den;
+    ASSERT_EQ(target_host, target_oracle) << acc << " / " << den;
+
+    // The 128-bit overload, on residues inside and beyond int64.
+    const Int128 wide = Int128{acc} << rng.UniformU64(37);
+    Int128 wide_oracle = wide, wide_target_oracle = target;
+    PowerOfTwoDrain(wide_oracle, den, wide_target_oracle);
+    Int128 wide_host = wide, wide_target_host = target;
+    welford_internal::DrainResidue(wide_host, den, wide_target_host);
+    ASSERT_TRUE(wide_host == wide_oracle) << acc << " / " << den;
+    ASSERT_TRUE(wide_target_host == wide_target_oracle) << acc << " / " << den;
+  }
+}
+
 TEST_P(SeededTest, FixedPointDampedWithinFourPercent) {
   Rng rng(GetParam() ^ 0x22);
   const double lambda = std::exp(rng.UniformDouble(std::log(0.01), std::log(5.0)));

@@ -86,6 +86,28 @@ TEST(NicWelfordTest, TracksShiftingMean) {
   EXPECT_LT(RelativeError(nic.mean(), exact.mean()), 0.05);
 }
 
+TEST(NicWelfordTest, HugeDeviationsMatchExactWelford) {
+  // Rates in bytes/s sit billions of units from their mean, so the squared
+  // deviations pass int64; the 128-bit variance state must still track the
+  // exact statistics, in the warm-up and after it.
+  NicWelfordStats nic;
+  WelfordStats exact;
+  Rng rng(9);
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t x = i == 0   ? 0
+                      : i == 1 ? 7000000000
+                      : rng.Bernoulli(0.05)
+                          ? static_cast<int64_t>(rng.UniformU64(2000000000000))
+                          : static_cast<int64_t>(rng.UniformU64(1000000));
+    nic.Add(x);
+    exact.Add(static_cast<double>(x));
+    if (i == 1 || i == 63 || i == 1999) {
+      EXPECT_LT(RelativeError(nic.variance(), exact.variance()), 1e-6) << "at sample " << i;
+      EXPECT_LT(RelativeError(nic.mean(), exact.mean()), 1e-6) << "at sample " << i;
+    }
+  }
+}
+
 TEST(DampedTest, NoDecayMatchesPlainStats) {
   // lambda -> 0 means effectively no decay over a short window.
   DampedStats damped(0.0);
