@@ -12,10 +12,10 @@
 #include <fstream>
 #include <string>
 
+#include "common/json_writer.h"
 #include "common/table.h"
 #include "core/runtime.h"
 #include "fault/fault_plan.h"
-#include "json_writer.h"
 #include "net/trace_gen.h"
 #include "policy/parser.h"
 

@@ -18,9 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "json_writer.h"
 #include "streaming/batch.h"
 #include "streaming/damped.h"
 #include "streaming/histogram.h"

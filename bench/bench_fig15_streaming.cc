@@ -56,6 +56,11 @@ void Run() {
   const CycleCosts costs;
   size_t count = 0;
   uint64_t naive_recompute_samples = 0;
+  // The table's last row, which the closing verdict reads.
+  size_t last_row_packets = 0;
+  double last_naive_mb = 0.0;
+  double last_streaming_cycles = 0.0;
+  double last_naive_cycles = 0.0;
   for (const auto& pkt : trace.packets()) {
     fe.OnPacket(pkt);
     const FiveTuple key = GroupKey::InitiatorTuple(pkt);
@@ -91,6 +96,10 @@ void Run() {
       const double naive_cycles =
           static_cast<double>(naive_recompute_samples) * costs.alu * 3.0 / count +
           costs.dispatch;
+      last_row_packets = count;
+      last_naive_mb = naive_bytes / 1048576.0;
+      last_streaming_cycles = streaming_cycles;
+      last_naive_cycles = naive_cycles;
       table.AddRow({std::to_string(count),
                     AsciiTable::Num(streaming_bytes / 1048576.0, 2) + " MB",
                     AsciiTable::Num(naive_bytes / 1048576.0, 2) + " MB",
@@ -100,11 +109,16 @@ void Run() {
   }
   table.Print();
 
+  constexpr double kOnChipMb = 7.3;
   std::printf(
-      "\nOn-chip SRAM across the NFP hierarchy is ~7.3 MB: the naive buffers exceed it\n"
-      "within the first hundred thousand packets, while streaming state stays flat\n"
-      "(%u B per group) and per-packet cost stays constant.\n",
-      streaming_state);
+      "\nOn-chip SRAM across the NFP hierarchy is ~7.3 MB. The naive buffers grow linearly\n"
+      "with traffic and reach %.2f MB at %llu packets, %s that budget.\n"
+      "Streaming state is fixed per group (%u B) and its per-packet cost stays constant;\n"
+      "naive per-packet cycles grow with the buffered history (%.0f at the last row,\n"
+      "against streaming's %.0f).\n",
+      last_naive_mb, static_cast<unsigned long long>(last_row_packets),
+      last_naive_mb < kOnChipMb ? "still below" : "past", streaming_state, last_naive_cycles,
+      last_streaming_cycles);
 }
 
 }  // namespace

@@ -54,10 +54,19 @@ void Run() {
                 AsciiTable::Num(full / base, 2) + "x"});
   table.Print();
 
+  // The paper reports ~4x for all optimizations together; 3x-5x counts as
+  // agreement. Above it is the deviation EXPERIMENTS.md records: the modeled
+  // Kitsune program pays more divider cycles than the paper's, so removing
+  // them gains more.
+  const double total = full / base;
+  const char* total_verdict = total < 3.0   ? "FAIL: below the 3x-5x band"
+                              : total > 5.0 ? "DEVIATION: above the 3x-5x band, see "
+                                              "EXPERIMENTS.md"
+                                            : "PASS";
   std::printf(
-      "\nShape check: all optimizations together reach ~4x (%s); division elimination\n"
-      "contributes the largest single step (%s).\n",
-      full / base > 3.0 ? "PASS" : "FAIL",
+      "\nShape check: all optimizations together reach %.2fx against the paper's ~4x\n"
+      "(%s);\ndivision elimination contributes the largest single step (%s).\n",
+      total, total_verdict,
       (full / threads) > (hash / base) && (full / threads) > (threads / hash) ? "PASS"
                                                                               : "FAIL");
 }

@@ -19,10 +19,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/socket.h"
 #include "common/table.h"
 #include "core/runtime.h"
-#include "json_writer.h"
 #include "net/trace_gen.h"
 #include "policy/parser.h"
 

@@ -68,25 +68,10 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
   // uses — so a chaos plan bites at identical trace times in both modes.
   ResolveFaultTriggers(daemon.fault_trigger_trace);
 
-  std::vector<PacketSink*> sinks;
-  std::vector<const ReplayObs*> shard_obs;
-  std::function<uint32_t(const PacketRecord&)> shard_of;
-  if (sharded_ != nullptr) {
-    sinks.reserve(sharded_->size());
-    for (size_t s = 0; s < sharded_->size(); ++s) {
-      sinks.push_back(&sharded_->shard(s));
-    }
-    for (const ReplayObs& o : shard_replay_obs_) {
-      shard_obs.push_back(&o);
-    }
-    shard_of = [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); };
-  } else {
-    sinks.push_back(switch_.get());
-    shard_obs.push_back(config_.replay.obs);
-    shard_of = [](const PacketRecord&) { return 0u; };
-  }
-  StreamingReplay stream(config_.replay, sinks, shard_obs, shard_of,
-                         std::max<size_t>(daemon.max_chunks_in_flight, 1));
+  StreamingReplay stream(
+      config_.replay, sharded_->PacketSinks(), ShardReplayObs(),
+      [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); },
+      std::max<size_t>(daemon.max_chunks_in_flight, 1));
 
   // Everything this lambda reads is quiescent when it runs (WaitIdle +
   // producer close + drain barrier precede every call).
@@ -95,15 +80,11 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     const ReplayReport r = stream.Report();
     t.packets = r.packets;
     t.bytes = r.bytes;
-    const MgpvStats mg =
-        sharded_ != nullptr ? sharded_->AggregateMgpvStats() : switch_->cache().stats();
-    const FeNicStats nic = cluster_ != nullptr ? cluster_->AggregateStats() : nic_->stats();
+    const FeNicStats nic = cluster_->AggregateStats();
     t.cells_processed = nic.cells;
     t.vectors = nic.vectors_emitted;
-    if (cluster_ != nullptr) {
-      for (size_t i = 0; i < cluster_->size(); ++i) {
-        t.cells_overflow += cluster_->worker_stats(i).cells_dropped;
-      }
+    for (size_t i = 0; i < cluster_->size(); ++i) {
+      t.cells_overflow += cluster_->worker_stats(i).cells_dropped;
     }
     if (injector_ != nullptr) {
       const FaultStats fs = injector_->Snapshot();
@@ -117,7 +98,7 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     } else {
       // Without an injector nothing is shed or lost: everything MGPV evicts
       // is offered, and only lossy overflow can subtract from it.
-      t.cells_offered = mg.cells_out;
+      t.cells_offered = sharded_->AggregateMgpvStats().cells_out;
     }
     return t;
   };
@@ -180,24 +161,16 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     for (auto& producer : shard_producers_) {
       producer->Close();  // Stage->queue + fold offered counts, then reopen.
     }
-    if (cluster_ != nullptr) {
-      const uint64_t timeout = daemon.drain_timeout_ms > 0
-                                   ? daemon.drain_timeout_ms
-                                   : cluster_->options().flush_timeout_ms;
-      drain_barrier_ok = cluster_->DrainWithDeadline(timeout).ok() && drain_barrier_ok;
-      cluster_->UpdateObsGauges();
-    }
+    const uint64_t timeout = daemon.drain_timeout_ms > 0
+                                 ? daemon.drain_timeout_ms
+                                 : cluster_->options().flush_timeout_ms;
+    drain_barrier_ok = cluster_->DrainWithDeadline(timeout).ok() && drain_barrier_ok;
+    cluster_->UpdateObsGauges();
     const PipelineTotals now = snapshot();
     double occupancy = 0.0;
     uint64_t mgpv_epoch = 0;
-    if (sharded_ != nullptr) {
-      for (const MgpvEpochInfo& info : sharded_->RotateEpochs()) {
-        occupancy = std::max(occupancy, info.occupancy);
-        mgpv_epoch = info.epoch;
-      }
-    } else {
-      const MgpvEpochInfo info = switch_->RotateMgpvEpoch();
-      occupancy = info.occupancy;
+    for (const MgpvEpochInfo& info : sharded_->RotateEpochs()) {
+      occupancy = std::max(occupancy, info.occupancy);
       mgpv_epoch = info.epoch;
     }
     close_epoch(now, /*final_epoch=*/false, occupancy, mgpv_epoch);
@@ -266,7 +239,7 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
   }
 
   // Final epoch: identical drain, then the one-shot end-of-run flush
-  // (cache eviction, NIC flush barrier, latency-shim fold).
+  // (cache eviction, then the NIC flush barrier).
   stream.WaitIdle();
   stream.Close();
   const ReplayReport offered = stream.Report();
@@ -274,9 +247,7 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
   {
     const PipelineTotals now = snapshot();
     double occupancy = 0.0;  // Post-flush the caches are empty by contract.
-    const uint64_t mgpv_epoch =
-        (sharded_ != nullptr ? sharded_->shard(0) : *switch_).cache().epoch();
-    close_epoch(now, /*final_epoch=*/true, occupancy, mgpv_epoch);
+    close_epoch(now, /*final_epoch=*/true, occupancy, sharded_->shard(0).cache().epoch());
   }
 
   report.run = FinishRun(offered, flush_status);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <string>
 #include <thread>
 
 #include "common/build_info.h"
 #include "common/json_writer.h"
-#include "obs/worker_block.h"
 
 namespace superfe {
 
@@ -33,59 +31,6 @@ class SuperFeRuntime::ForwardingSink : public FeatureSink {
 
  private:
   FeatureSink* target_ = nullptr;
-};
-
-// Serial-path latency shim: with worker_threads == 0 there is no NicCluster
-// between MGPV and the FeNic, so this wrapper measures the service and
-// end-to-end stages around each report. On the producer thread the clock
-// cannot advance mid-call, so service is 0 trace-time ns and end-to-end
-// equals the MGPV residency — the same invariants the cluster's serial
-// dispatch records. There is no queue, hence no queue-wait stage.
-class SuperFeRuntime::SerialLatencySink : public MgpvSink {
- public:
-  // `registry` non-null enables the hot tier (single replay thread only —
-  // the block's cells are plain fields); null keeps the direct relaxed-
-  // atomic observes, which are safe from any number of replay shards.
-  SerialLatencySink(MgpvSink* target, obs::TraceClock* clock,
-                    obs::LatencyHistogram* service, obs::LatencyHistogram* e2e,
-                    obs::MetricsRegistry* registry, uint32_t batch_packets)
-      : target_(target), clock_(clock), service_(service), e2e_(e2e) {
-    block_.Init(registry, "serial-sink", batch_packets);
-    service_cell_ = block_.BindLatency(service);
-    e2e_cell_ = block_.BindLatency(e2e);
-  }
-
-  void OnMgpv(const MgpvReport& report) override {
-    const uint64_t before_ns = clock_->Now();
-    target_->OnMgpv(report);
-    const uint64_t after_ns = clock_->Now();
-    const uint64_t service_ns = after_ns - before_ns;
-    const uint64_t e2e_ns = after_ns > report.first_ingest_ns
-                                ? after_ns - report.first_ingest_ns
-                                : 0;
-    if (service_cell_ != nullptr) {
-      obs::Observe(service_cell_, service_ns);
-      obs::Observe(e2e_cell_, e2e_ns);
-      block_.NotePackets(report.cells.size());
-    } else {
-      obs::Observe(service_, service_ns);
-      obs::Observe(e2e_, e2e_ns);
-    }
-  }
-  void OnFgSync(const FgSyncMessage& sync) override { target_->OnFgSync(sync); }
-
-  // End-of-run fence: fold buffered deltas so post-run breakdown/sampler
-  // reads see exact totals.
-  void FlushObs() { block_.Flush(); }
-
- private:
-  MgpvSink* target_;
-  obs::TraceClock* clock_;
-  obs::LatencyHistogram* service_;
-  obs::LatencyHistogram* e2e_;
-  obs::WorkerObsBlock block_;
-  obs::WorkerObsBlock::LatencyCell* service_cell_ = nullptr;
-  obs::WorkerObsBlock::LatencyCell* e2e_cell_ = nullptr;
 };
 
 Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& policy,
@@ -151,95 +96,54 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     }
   }
 
-  MgpvSink* nic_side = nullptr;
-  // Member-level fault routing and flush-time abandonment live in
-  // NicCluster, so an armed injector routes even the worker_threads == 0
-  // case through a single-member cluster in serial (inline-dispatch) mode.
-  const bool serial_fault_cluster = cfg.worker_threads == 0 && runtime->injector_ != nullptr;
-  if (cfg.worker_threads > 0 || serial_fault_cluster) {
-    NicClusterOptions options = cfg.cluster;
-    options.parallel = cfg.worker_threads > 0;
-    options.pin_threads = options.pin_threads || cfg.pin_threads;
-    options.metrics = runtime->metrics_.get();
-    options.trace = runtime->trace_.get();
-    options.trace_lane_base = 0;
-    options.worker_lane_base = shards;  // == historical base+1 when shards==1.
-    options.latency_clock = runtime->trace_clock_.get();
-    options.injector = runtime->injector_.get();
-    options.profile = cfg.obs.profile;
-    options.obs_batch_packets = cfg.obs.batch_packets;
-    if (cfg.fault.flush_timeout_ms > 0) {
-      options.flush_timeout_ms = cfg.fault.flush_timeout_ms;
-    }
-    if (cfg.fault.watchdog_interval_ms > 0) {
-      options.watchdog_interval_ms = cfg.fault.watchdog_interval_ms;
-      options.watchdog_timeout_ms = cfg.fault.watchdog_timeout_ms;
-    }
-    auto cluster = NicCluster::Create(runtime->compiled_, cfg.nic,
-                                      std::max<uint32_t>(cfg.worker_threads, 1),
-                                      runtime->forwarding_.get(), options);
-    if (!cluster.ok()) {
-      return cluster.status();
-    }
-    runtime->cluster_ = std::move(cluster).value();
-    if (shards > 1 && cfg.worker_threads > 0) {
-      // One feeding handle per replay shard, each emitting on its own
-      // producer trace lane; the cluster's built-in default producer stays
-      // unused. (A serial fault cluster has no producers: replay shards
-      // call the cluster's inline dispatch directly, which locks per NIC.)
-      for (uint32_t s = 0; s < shards; ++s) {
-        runtime->shard_producers_.push_back(runtime->cluster_->MakeProducer(s));
-      }
-    }
-    nic_side = runtime->cluster_.get();
-  } else {
-    auto nic = FeNic::Create(runtime->compiled_, cfg.nic, runtime->forwarding_.get());
-    if (!nic.ok()) {
-      return nic.status();
-    }
-    runtime->nic_ = std::move(nic).value();
-    if (runtime->metrics_ != nullptr) {
-      FeNicObs nic_obs = FeNicObs::Create(runtime->metrics_.get(), 0, cfg.obs.profile);
-      nic_obs.flush_packets = cfg.obs.batch_packets;
-      runtime->nic_->set_obs(nic_obs);
-    }
-    nic_side = runtime->nic_.get();
-    if (runtime->trace_clock_ != nullptr) {
-      // Interpose the serial service/e2e measurement between MGPV and the
-      // NIC (the cluster does this itself in the parallel path). The shim's
-      // hot tier is single-owner, so it only batches when one replay thread
-      // feeds it; sharded serial mode (shards > 1, workers == 0) shares the
-      // shim across replay threads and keeps the direct atomic observes.
-      runtime->serial_latency_ = std::make_unique<SerialLatencySink>(
-          nic_side, runtime->trace_clock_.get(),
-          runtime->metrics_->GetLatencyHistogram(
-              "superfe_latency_worker_service_ns", {},
-              "Trace-time elapsed while a NIC worker processed one report"),
-          runtime->metrics_->GetLatencyHistogram(
-              "superfe_latency_e2e_ns", {},
-              "First packet ingest to feature emit, end to end (trace-time ns)"),
-          shards == 1 ? runtime->metrics_.get() : nullptr, cfg.obs.batch_packets);
-      nic_side = runtime->serial_latency_.get();
+  // One topology for every shape: a ShardedFeSwitch of `shards` pipes feeds
+  // a NicCluster of max(worker_threads, 1) members. With worker_threads == 0
+  // the cluster dispatches inline on the replay thread(s) (locking per NIC);
+  // otherwise each shard pushes through its own producer handle and trace
+  // lane. Member-level fault routing and flush-time abandonment live in the
+  // cluster, so every shape gets them.
+  NicClusterOptions options = cfg.cluster;
+  options.parallel = cfg.worker_threads > 0;
+  options.pin_threads = options.pin_threads || cfg.pin_threads;
+  options.metrics = runtime->metrics_.get();
+  options.trace = runtime->trace_.get();
+  options.trace_lane_base = 0;
+  options.worker_lane_base = shards;
+  options.latency_clock = runtime->trace_clock_.get();
+  options.injector = runtime->injector_.get();
+  options.profile = cfg.obs.profile;
+  options.obs_batch_packets = cfg.obs.batch_packets;
+  if (cfg.fault.flush_timeout_ms > 0) {
+    options.flush_timeout_ms = cfg.fault.flush_timeout_ms;
+  }
+  if (cfg.fault.watchdog_interval_ms > 0) {
+    options.watchdog_interval_ms = cfg.fault.watchdog_interval_ms;
+    options.watchdog_timeout_ms = cfg.fault.watchdog_timeout_ms;
+  }
+  auto cluster = NicCluster::Create(runtime->compiled_, cfg.nic,
+                                    std::max<uint32_t>(cfg.worker_threads, 1),
+                                    runtime->forwarding_.get(), options);
+  if (!cluster.ok()) {
+    return cluster.status();
+  }
+  runtime->cluster_ = std::move(cluster).value();
+  std::vector<MgpvSink*> sinks(shards, runtime->cluster_.get());
+  if (cfg.worker_threads > 0) {
+    for (uint32_t s = 0; s < shards; ++s) {
+      runtime->shard_producers_.push_back(runtime->cluster_->MakeProducer(s));
+      sinks[s] = runtime->shard_producers_.back().get();
     }
   }
-  if (shards > 1) {
-    // Each shard feeds its own cluster producer handle, or — with
-    // worker_threads == 0 — the shared serial NIC side (FeNic locks
-    // internally; the latency shim's observations are wait-free).
-    std::vector<MgpvSink*> sinks(shards, nic_side);
-    for (size_t s = 0; s < runtime->shard_producers_.size(); ++s) {
-      sinks[s] = runtime->shard_producers_[s].get();
-    }
-    ShardedSwitchOptions sw_options;
-    sw_options.metrics = runtime->metrics_.get();
-    sw_options.trace = runtime->trace_.get();
-    sw_options.trace_lane_base = 0;
-    sw_options.latency = cfg.obs.latency;
-    sw_options.injector = runtime->injector_.get();
-    sw_options.profile = cfg.obs.profile;
-    sw_options.obs_batch_packets = cfg.obs.batch_packets;
-    runtime->sharded_ = std::make_unique<ShardedFeSwitch>(runtime->compiled_, sinks,
-                                                          cfg.mgpv, sw_options);
+  ShardedSwitchOptions sw_options;
+  sw_options.metrics = runtime->metrics_.get();
+  sw_options.trace = runtime->trace_.get();
+  sw_options.latency = cfg.obs.latency;
+  sw_options.injector = runtime->injector_.get();
+  sw_options.profile = cfg.obs.profile;
+  sw_options.obs_batch_packets = cfg.obs.batch_packets;
+  runtime->sharded_ =
+      std::make_unique<ShardedFeSwitch>(runtime->compiled_, sinks, cfg.mgpv, sw_options);
+  if (runtime->metrics_ != nullptr || runtime->trace_ != nullptr) {
     runtime->shard_replay_obs_.reserve(shards);
     for (uint32_t s = 0; s < shards; ++s) {
       ReplayObs o =
@@ -251,34 +155,11 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
       if (cfg.obs.telemetry_port >= 0) {
         // Live scraping: flush replay counters often enough that the
         // rolling window (spanning tens of ms) sees per-epoch movement —
-        // an 8192-packet chunk per shard can exceed a whole window's
-        // worth of traffic at moderate rates.
+        // an 8192-packet span can exceed a whole window's worth of traffic
+        // at moderate rates.
         o.span_packets = 1024;
       }
       runtime->shard_replay_obs_.push_back(o);
-    }
-  } else {
-    runtime->switch_ = std::make_unique<FeSwitch>(runtime->compiled_, nic_side, cfg.mgpv);
-    if (runtime->injector_ != nullptr) {
-      runtime->switch_->mutable_cache().set_fault(runtime->injector_.get(), /*shard=*/0);
-    }
-    if (runtime->metrics_ != nullptr || runtime->trace_ != nullptr) {
-      FeSwitchObs sw_obs = FeSwitchObs::Create(runtime->metrics_.get());
-      sw_obs.flush_packets = cfg.obs.batch_packets;
-      runtime->switch_->set_obs(sw_obs);
-      MgpvObs mgpv_obs = MgpvObs::Create(runtime->metrics_.get(), runtime->trace_.get(),
-                                         /*trace_lane=*/0, cfg.obs.latency,
-                                         /*instance_labels=*/{}, cfg.obs.profile);
-      mgpv_obs.flush_packets = cfg.obs.batch_packets;
-      runtime->switch_->set_mgpv_obs(mgpv_obs);
-      runtime->replay_obs_ =
-          ReplayObs::Create(runtime->metrics_.get(), runtime->trace_.get(), /*trace_lane=*/0);
-      runtime->replay_obs_.clock = runtime->trace_clock_.get();
-      runtime->replay_obs_.injector = runtime->injector_.get();
-      if (cfg.obs.telemetry_port >= 0) {
-        runtime->replay_obs_.span_packets = 1024;  // See the sharded path.
-      }
-      runtime->config_.replay.obs = &runtime->replay_obs_;
     }
   }
 
@@ -302,11 +183,7 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     obs::TelemetryOptions topt;
     topt.port = static_cast<uint16_t>(cfg.obs.telemetry_port);
     SuperFeRuntime* rt = runtime.get();
-    topt.pre_scrape = [rt] {
-      if (rt->cluster_ != nullptr) {
-        rt->cluster_->UpdateObsGauges();
-      }
-    };
+    topt.pre_scrape = [rt] { rt->cluster_->UpdateObsGauges(); };
     topt.write_metrics = [rt](std::ostream& os) { rt->metrics_->WriteProm(os); };
     topt.write_status = [rt](std::ostream& os) { rt->WriteStatusJson(os); };
     topt.health = runtime->health_.get();
@@ -320,8 +197,15 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
   return runtime;
 }
 
-NicPerfModel SuperFeRuntime::NicPerf() const {
-  return cluster_ != nullptr ? cluster_->MergedPerf() : nic_->perf();
+NicPerfModel SuperFeRuntime::NicPerf() const { return cluster_->MergedPerf(); }
+
+std::vector<const ReplayObs*> SuperFeRuntime::ShardReplayObs() const {
+  std::vector<const ReplayObs*> lanes;
+  lanes.reserve(shard_replay_obs_.size());
+  for (const ReplayObs& o : shard_replay_obs_) {
+    lanes.push_back(&o);
+  }
+  return lanes;
 }
 
 SuperFeRuntime::SuperFeRuntime(CompiledPolicy compiled, const RuntimeConfig& config)
@@ -343,27 +227,22 @@ void SuperFeRuntime::BeginRunTelemetry() {
       std::memory_order_relaxed);
   sampler_.reset();  // A re-Run restarts the time series.
   if (metrics_ != nullptr && config_.obs.sample_interval_ms > 0) {
-    std::function<void()> hook;
-    if (cluster_ != nullptr || window_ != nullptr) {
-      hook = [this] {
-        if (cluster_ != nullptr) {
-          cluster_->UpdateObsGauges();
+    const auto hook = [this] {
+      cluster_->UpdateObsGauges();
+      if (window_ != nullptr) {
+        // One telemetry epoch per capture: the window rates refresh and
+        // the health machine sees the epoch's fault/watchdog totals.
+        // Stop() takes a final post-flush capture, so the last epoch is
+        // guaranteed to see the exact quiescent totals.
+        window_->Tick(SteadyNowNs());
+        if (health_ != nullptr) {
+          const obs::RollingWindow::Totals t = window_->LatestTotals();
+          health_->Update({t.fault_events, t.watchdog_stalls}, t.t_ns);
         }
-        if (window_ != nullptr) {
-          // One telemetry epoch per capture: the window rates refresh and
-          // the health machine sees the epoch's fault/watchdog totals.
-          // Stop() takes a final post-flush capture, so the last epoch is
-          // guaranteed to see the exact quiescent totals.
-          window_->Tick(SteadyNowNs());
-          if (health_ != nullptr) {
-            const obs::RollingWindow::Totals t = window_->LatestTotals();
-            health_->Update({t.fault_events, t.watchdog_stalls}, t.t_ns);
-          }
-        }
-      };
-    }
+      }
+    };
     sampler_ = std::make_unique<obs::SnapshotSampler>(
-        metrics_.get(), config_.obs.sample_interval_ms, std::move(hook));
+        metrics_.get(), config_.obs.sample_interval_ms, hook);
     sampler_->Start();
   }
 }
@@ -391,61 +270,32 @@ void SuperFeRuntime::ResolveFaultTriggers(const Trace* trace) {
           return scaled + (id % amp) * 8;
         });
   }
-  injector_->BeginRun(
-      static_cast<uint32_t>(cluster_ != nullptr ? cluster_->size() : 1));
+  injector_->BeginRun(static_cast<uint32_t>(cluster_->size()));
 }
 
 RunReport SuperFeRuntime::Run(const Trace& trace, FeatureSink* sink) {
   SetSinkTarget(sink);
   BeginRunTelemetry();
   ResolveFaultTriggers(&trace);
-  ReplayReport offered;
-  if (sharded_ != nullptr) {
-    std::vector<PacketSink*> sinks;
-    std::vector<const ReplayObs*> shard_obs;
-    sinks.reserve(sharded_->size());
-    shard_obs.reserve(shard_replay_obs_.size());
-    for (size_t s = 0; s < sharded_->size(); ++s) {
-      sinks.push_back(&sharded_->shard(s));
-    }
-    for (const ReplayObs& o : shard_replay_obs_) {
-      shard_obs.push_back(&o);
-    }
-    offered =
-        ParallelReplay(trace, config_.replay, sinks, shard_obs,
-                       [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); });
-  } else {
-    offered = Replay(trace, config_.replay, *switch_);
-  }
+  const ReplayReport offered =
+      ParallelReplay(trace, config_.replay, sharded_->PacketSinks(), ShardReplayObs(),
+                     [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); });
   const Status flush_status = FlushPipeline();
   return FinishRun(offered, flush_status);
 }
 
 Status SuperFeRuntime::FlushPipeline() {
-  if (sharded_ != nullptr) {
-    sharded_->Flush();  // After join: replay threads are quiescent.
-    for (auto& producer : shard_producers_) {
-      producer->Close();  // Push staged batches before the cluster barrier.
-    }
-  } else {
-    switch_->Flush();
+  sharded_->Flush();  // Replay has returned: the switch shards are quiescent.
+  for (auto& producer : shard_producers_) {
+    producer->Close();  // Push staged batches before the cluster barrier.
   }
-  Status flush_status = Status::Ok();
-  if (cluster_ != nullptr) {
-    // Barrier: every queue drained, every member flushed (or, with a fault
-    // injector, dead members' residual state abandoned). A deadline hit is
-    // reported in RunReport::fault, not fatal — workers keep draining and
-    // the destructor completes the join.
-    flush_status = cluster_->FlushWithDeadline(cluster_->options().flush_timeout_ms);
-    cluster_->UpdateObsGauges();
-  } else {
-    nic_->Flush();
-  }
-  if (serial_latency_ != nullptr) {
-    // Fold the shim's buffered latency deltas before the sampler's final
-    // capture and the post-run breakdown read.
-    serial_latency_->FlushObs();
-  }
+  // Barrier: every queue drained, every member flushed (or, with a fault
+  // injector, dead members' residual state abandoned). A deadline hit is
+  // reported in RunReport::fault, not fatal — workers keep draining and
+  // the destructor completes the join.
+  const Status flush_status =
+      cluster_->FlushWithDeadline(cluster_->options().flush_timeout_ms);
+  cluster_->UpdateObsGauges();
   return flush_status;
 }
 
@@ -469,20 +319,16 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
   }
 
   report.latency = BuildLatencyBreakdown();
-  report.switch_stats =
-      sharded_ != nullptr ? sharded_->AggregateSwitchStats() : switch_->stats();
-  report.mgpv =
-      sharded_ != nullptr ? sharded_->AggregateMgpvStats() : switch_->cache().stats();
-  report.nic = cluster_ != nullptr ? cluster_->AggregateStats() : nic_->stats();
+  report.switch_stats = sharded_->AggregateSwitchStats();
+  report.mgpv = sharded_->AggregateMgpvStats();
+  report.nic = cluster_->AggregateStats();
   report.fault.enabled = injector_ != nullptr;
   if (injector_ != nullptr) {
     report.fault.stats = injector_->Snapshot();
     report.fault.cells_processed = report.nic.cells;
     uint64_t overflow = 0;
-    if (cluster_ != nullptr) {
-      for (size_t i = 0; i < cluster_->size(); ++i) {
-        overflow += cluster_->worker_stats(i).cells_dropped;
-      }
+    for (size_t i = 0; i < cluster_->size(); ++i) {
+      overflow += cluster_->worker_stats(i).cells_dropped;
     }
     report.fault.overflow_cells_dropped = overflow;
     report.fault.flush_deadline_exceeded = !flush_status.ok();
@@ -495,7 +341,7 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
                             fs.injected_pool_exhaustions > 0 ||
                             report.fault.flush_deadline_exceeded;
   }
-  if (cluster_ != nullptr) {
+  if (config_.worker_threads > 0) {
     report.cluster_cost = cluster_->CostReport(config_.nic.group_table_indices,
                                                config_.nic.group_table_width);
   }
@@ -594,7 +440,7 @@ RunReport::LatencyBreakdown SuperFeRuntime::BuildLatencyBreakdown() const {
   b.enabled = true;
   // The registry's get-or-create is idempotent: these lookups return the
   // exact histograms the pipeline observed into (or fresh empty ones for
-  // stages that never ran, e.g. queue wait in serial mode).
+  // stages that never ran).
   obs::LatencyHistogram::Snapshot residency_total;
   for (int i = 0; i < 5; ++i) {
     obs::LatencyHistogram* h = metrics_->GetLatencyHistogram(
@@ -609,9 +455,10 @@ RunReport::LatencyBreakdown SuperFeRuntime::BuildLatencyBreakdown() const {
   }
   b.mgpv_residency = residency_total.Summarize();
 
+  // Queue wait exists only behind worker threads; the lookups below are
+  // get-or-create, so the loop must not run for the inline member.
   obs::LatencyHistogram::Snapshot queue_wait_total;
-  const size_t workers = cluster_ != nullptr ? cluster_->size() : 0;
-  for (size_t i = 0; i < workers; ++i) {
+  for (uint32_t i = 0; i < config_.worker_threads; ++i) {
     obs::LatencyHistogram* h = metrics_->GetLatencyHistogram(
         "superfe_latency_queue_wait_ns", {{"worker", std::to_string(i)}});
     if (h == nullptr) {
@@ -702,9 +549,7 @@ bool SuperFeRuntime::WriteStatusJson(std::ostream& out) const {
   if (metrics_ == nullptr) {
     return false;
   }
-  if (cluster_ != nullptr) {
-    cluster_->UpdateObsGauges();  // Queue-depth gauges read below.
-  }
+  cluster_->UpdateObsGauges();  // Queue-depth gauges read below.
   // One registry pass, summed across labels per family. Mid-run these are
   // the batch-flushed live totals (within one hot-tier batch of exact); at
   // quiescence they equal the RunReport exactly.
@@ -783,18 +628,16 @@ bool SuperFeRuntime::WriteStatusJson(std::ostream& out) const {
 
   writer.Key("queues");
   writer.BeginArray();
-  if (cluster_ != nullptr) {
-    for (size_t i = 0; i < cluster_->size(); ++i) {
-      const obs::LabelSet worker = {{"worker", std::to_string(i)}};
-      writer.BeginObject();
-      writer.FieldUint("worker", i);
-      writer.FieldDouble(
-          "depth", metrics_->Value("superfe_cluster_queue_depth", worker).value_or(0.0));
-      writer.FieldDouble(
-          "high_watermark",
-          metrics_->Value("superfe_cluster_queue_high_watermark", worker).value_or(0.0));
-      writer.EndObject();
-    }
+  for (uint32_t i = 0; i < config_.worker_threads; ++i) {
+    const obs::LabelSet worker = {{"worker", std::to_string(i)}};
+    writer.BeginObject();
+    writer.FieldUint("worker", i);
+    writer.FieldDouble(
+        "depth", metrics_->Value("superfe_cluster_queue_depth", worker).value_or(0.0));
+    writer.FieldDouble(
+        "high_watermark",
+        metrics_->Value("superfe_cluster_queue_high_watermark", worker).value_or(0.0));
+    writer.EndObject();
   }
   writer.EndArray();
 
@@ -910,19 +753,6 @@ bool SuperFeRuntime::WriteMetricsJson(std::ostream& out) const {
     writer.Key("latency");
     WriteLatencyBreakdownJson(writer, BuildLatencyBreakdown());
   }
-  writer.EndObject();
-  out << '\n';
-  return true;
-}
-
-bool SuperFeRuntime::WriteSamplesJson(std::ostream& out) const {
-  if (sampler_ == nullptr) {
-    return false;
-  }
-  JsonWriter writer(out);
-  writer.BeginObject();
-  writer.Key("series");
-  sampler_->WriteJson(writer);
   writer.EndObject();
   out << '\n';
   return true;

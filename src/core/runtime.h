@@ -50,26 +50,26 @@ struct RuntimeConfig {
   // packet-engine front end can accept regardless of core count).
   double nic_ingest_mpps = 60.0;
 
-  // Host-side execution parallelism for the replay itself. 0 runs the
-  // reference serial path (one FeNic on the caller's thread, unchanged).
-  // N > 0 runs a NicCluster of N members, one worker thread each, with
-  // switch-hash load balancing (§8.5) — wall-clock scales with cores while
-  // the feature multiset stays identical for a given routing. Lossless by
-  // default (cluster.drop_on_overflow = false).
+  // NIC-side execution parallelism. The runtime always feeds one NicCluster
+  // of max(worker_threads, 1) members, routed by the switch CG hash (§8.5).
+  // 0 (default) is the serial shape: one member, each report dispatched
+  // inline on the thread that evicted it. N > 0 gives N members with one
+  // worker thread each behind bounded queues; wall-clock scales with cores
+  // while the feature multiset stays identical. Lossless by default
+  // (cluster.drop_on_overflow = false).
   uint32_t worker_threads = 0;
-  // Tuning for the parallel pipeline; `parallel` is implied by
-  // worker_threads > 0 and ignored here.
+  // Tuning for the cluster; `parallel` is implied by worker_threads > 0 and
+  // ignored here.
   NicClusterOptions cluster;
 
-  // Switch-side sharding: N > 1 runs a ShardedFeSwitch of N independent
-  // FE-Switch/MGPV pipes and a parallel replay driver — the trace is
-  // partitioned by CG hash up front and each shard replays on its own
-  // thread, so producer-side wall-clock scales with cores too. Per-group
-  // packet order is preserved (a group never spans shards), so the feature
-  // multiset is identical to the serial reference. 1 (default) keeps the
-  // exactly-unchanged single-switch path as the oracle. Composes with
-  // worker_threads: each shard feeds the NIC cluster through its own
-  // producer handle. Clamped to obs::TraceClock::kMaxLanes.
+  // Switch-side sharding: the runtime always owns one ShardedFeSwitch of
+  // this many independent FE-Switch/MGPV pipes, keyed by CG hash. 1
+  // (default) is the serial shape: the trace replays on the caller's thread
+  // with no partition. N > 1 streams the trace in chunks, partitions each by
+  // CG hash and replays every shard on its own thread. A group never spans
+  // shards, so per-group packet order and the feature multiset are the same
+  // in every shape. With worker_threads > 0 each shard feeds the cluster
+  // through its own producer handle. Clamped to obs::TraceClock::kMaxLanes.
   uint32_t switch_shards = 1;
 
   // CPU affinity for the parallel pipeline (--pin-threads): pin replay
@@ -351,17 +351,15 @@ class SuperFeRuntime {
 
   const CompiledPolicy& compiled() const { return compiled_; }
   const RuntimeConfig& config() const { return config_; }
-  // Serial mode: the single FeNic. Parallel mode: the cluster's first
-  // member (placement/plan are identical across members).
-  const FeNic& nic() const { return cluster_ != nullptr ? cluster_->nic(0) : *nic_; }
-  // Non-null only when config.worker_threads > 0.
+  // The cluster's first member; with worker_threads == 0 the only one.
+  // Placement and plan are identical across members.
+  const FeNic& nic() const { return cluster_->nic(0); }
+  // The NIC cluster of max(worker_threads, 1) members. Never null.
   const NicCluster* cluster() const { return cluster_.get(); }
-  // Single-switch mode: the switch. Sharded mode: shard 0 (all shards share
-  // program/config; per-shard stats differ — use sharded_switch()).
-  const FeSwitch& fe_switch() const {
-    return sharded_ != nullptr ? sharded_->shard(0) : *switch_;
-  }
-  // Non-null only when config.switch_shards > 1.
+  // Shard 0 of the switch; with switch_shards == 1 the only one. All shards
+  // share program and config; per-shard stats differ (see sharded_switch()).
+  const FeSwitch& fe_switch() const { return sharded_->shard(0); }
+  // The switch of config.switch_shards shards. Never null.
   const ShardedFeSwitch* sharded_switch() const { return sharded_.get(); }
 
   // Table 4 helpers.
@@ -399,13 +397,8 @@ class SuperFeRuntime {
   // with the sampler on, latency only with obs.latency.
   bool WriteMetricsJson(std::ostream& out) const;
   bool WriteTraceJson(std::ostream& out) const;
-  // Standalone sampler time series ({"series": {...}}); false without a
-  // completed sampled run.
-  bool WriteSamplesJson(std::ostream& out) const;
 
  private:
-  class SerialLatencySink;
-
   SuperFeRuntime(CompiledPolicy compiled, const RuntimeConfig& config);
 
   // Run()/RunDaemon() share one lifecycle, decomposed so the daemon can put
@@ -419,9 +412,9 @@ class SuperFeRuntime {
   // own arithmetic; null or empty = packet triggers never fire. No-op
   // without an injector; always calls BeginRun when armed.
   void ResolveFaultTriggers(const Trace* trace);
-  // End-of-run flush: switch caches, producers, then the NIC side (cluster
-  // flush barrier with deadline, or serial FeNic::Flush), then the serial
-  // latency shim. Returns the barrier status (deadline miss = not-ok).
+  // End-of-run flush: switch caches, producers, then the cluster flush
+  // barrier with its deadline. Returns the barrier status (deadline miss =
+  // not-ok).
   Status FlushPipeline();
   // Stops the sampler, detaches the sink, and builds the full RunReport
   // from the quiescent pipeline (including health OnRunComplete).
@@ -435,9 +428,13 @@ class SuperFeRuntime {
   // config, start time) emitted by both WriteMetricsJson and /status.
   void WriteRunBlockJson(JsonWriter& writer) const;
 
-  // Accounted NIC work for throughput modeling: the serial NIC's model, or
-  // the sum over cluster members (identical totals for the same stream).
+  // Accounted NIC work for throughput modeling: the sum over cluster
+  // members (identical totals for the same stream at any member count).
   NicPerfModel NicPerf() const;
+
+  // Per-shard replay obs for ParallelReplay/StreamingReplay; empty when
+  // neither metrics nor tracing is on.
+  std::vector<const ReplayObs*> ShardReplayObs() const;
 
   CompiledPolicy compiled_;
   RuntimeConfig config_;
@@ -448,21 +445,17 @@ class SuperFeRuntime {
   std::unique_ptr<obs::TraceClock> trace_clock_;   // obs.latency only.
   // Fault injector precedes the pipeline members that hold hooks into it.
   std::unique_ptr<FaultInjector> injector_;
-  ReplayObs replay_obs_;
-  std::vector<ReplayObs> shard_replay_obs_;  // One per shard; sharded mode.
-  std::unique_ptr<FeNic> nic_;          // Serial path; must outlive switch_.
-  std::unique_ptr<NicCluster> cluster_;  // Parallel path; must outlive switch_.
-  // Per-shard feeding handles into the cluster (sharded + parallel mode);
+  // One per shard when metrics or tracing is on; empty otherwise.
+  std::vector<ReplayObs> shard_replay_obs_;
+  // The pipeline: sharded_ feeds cluster_, so cluster_ must outlive it.
+  std::unique_ptr<NicCluster> cluster_;
+  // Per-shard feeding handles into the cluster (worker_threads > 0);
   // declared after cluster_ so Close()-on-destroy still sees it alive.
   std::vector<std::unique_ptr<NicCluster::Producer>> shard_producers_;
-  // Serial-path latency shim between MGPV and the FeNic (obs.latency with
-  // worker_threads == 0); must outlive switch_, which holds a pointer.
-  std::unique_ptr<SerialLatencySink> serial_latency_;
-  std::unique_ptr<FeSwitch> switch_;          // switch_shards == 1.
-  std::unique_ptr<ShardedFeSwitch> sharded_;  // switch_shards > 1.
-  FeatureSink* user_sink_ = nullptr;
+  std::unique_ptr<ShardedFeSwitch> sharded_;
 
-  // Internal forwarding sink: FeNic is created per Run with the user sink.
+  // The cluster members are built once and emit here; each run points it
+  // at that run's sink.
   class ForwardingSink;
   std::unique_ptr<ForwardingSink> forwarding_;
 

@@ -320,6 +320,13 @@ ReplayReport ParallelReplay(const Trace& trace, const ReplayOptions& options,
   if (trace.empty() || sinks.empty()) {
     return report;
   }
+  if (sinks.size() == 1) {
+    // One shard is the serial loop on the caller's thread: no shard thread,
+    // chunk copy or partition.
+    ReplayOptions serial = options;
+    serial.obs = shard_obs.empty() ? nullptr : shard_obs[0];
+    return Replay(trace, serial, *sinks[0]);
+  }
   // One-shot wrapper over the streaming pipeline: feed fixed-size chunks so
   // partitioning overlaps replay and peak partition state is bounded, instead
   // of the historical full-trace id-list scan (a serial prefix on huge

@@ -96,7 +96,7 @@ struct ReplayOptions {
   // — the same slot the NIC cluster pins worker threads to, keeping a
   // shard's producer and its preferred members co-resident. Best-effort:
   // no-op (with one logged warning) where pinning is unsupported. Ignored
-  // by the serial Replay().
+  // by the serial Replay(), which a one-shard ParallelReplay runs.
   bool pin_threads = false;
 };
 
@@ -206,6 +206,8 @@ class StreamingReplay {
 
 // Replays `trace` into sinks.size() shards, one thread per shard, by
 // feeding the whole trace through a StreamingReplay in fixed-size chunks.
+// One sink runs Replay() on the caller's thread with shard_obs[0] (or no
+// obs when `shard_obs` is empty); `shard_of` is then never called.
 // `shard_of` maps a fully-formed replica record to its shard (must return
 // values in [0, sinks.size()) and be pure — it is called once per record
 // during chunk partitioning). `shard_obs` is either empty or one entry per

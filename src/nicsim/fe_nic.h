@@ -5,8 +5,8 @@
 // NFP cycles and memory through the cost model and ILP placement.
 //
 // Threading model: each FeNic is owned by exactly one executing thread at a
-// time (the caller in the serial path, a dedicated worker in the parallel
-// NicCluster pipeline). All mutating entry points and the Snapshot()
+// time (a replay thread when its NicCluster dispatches inline, a dedicated
+// worker thread otherwise). All mutating entry points and the Snapshot()
 // accessors take an internal mutex, so *other* threads may read consistent
 // stats/perf snapshots while the owner is processing. The raw stats()/perf()
 // references remain for single-threaded and quiescent (post-Flush) use.

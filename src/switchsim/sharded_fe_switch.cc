@@ -12,7 +12,9 @@ ShardedFeSwitch::ShardedFeSwitch(const CompiledPolicy& compiled,
   shards_.reserve(shard_sinks.size());
   for (size_t s = 0; s < shard_sinks.size(); ++s) {
     auto sw = std::make_unique<FeSwitch>(compiled, shard_sinks[s], mgpv_overrides);
-    const obs::LabelSet shard_label = {{"shard", std::to_string(s)}};
+    // One shard is the serial shape: it registers the unlabeled names.
+    const obs::LabelSet shard_label =
+        shard_sinks.size() > 1 ? obs::LabelSet{{"shard", std::to_string(s)}} : obs::LabelSet{};
     FeSwitchObs sw_obs = FeSwitchObs::Create(options.metrics, shard_label);
     sw_obs.flush_packets = options.obs_batch_packets;
     sw->set_obs(sw_obs);
@@ -29,7 +31,19 @@ ShardedFeSwitch::ShardedFeSwitch(const CompiledPolicy& compiled,
 }
 
 uint32_t ShardedFeSwitch::ShardOf(const PacketRecord& pkt) const {
+  if (shards_.size() == 1) {
+    return 0;
+  }
   return GroupKey::ForPacket(pkt, cg_).Hash() % static_cast<uint32_t>(shards_.size());
+}
+
+std::vector<PacketSink*> ShardedFeSwitch::PacketSinks() {
+  std::vector<PacketSink*> sinks;
+  sinks.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    sinks.push_back(shard.get());
+  }
+  return sinks;
 }
 
 void ShardedFeSwitch::Flush() {

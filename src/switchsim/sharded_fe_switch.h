@@ -39,8 +39,9 @@ class ShardedFeSwitch {
  public:
   // One shard per sink. Cumulative metrics (superfe_switch_* counters with
   // {shard="<s>"} labels, shared superfe_mgpv_* counters) are registered so
-  // the family totals equal an unsharded run's; only the live_entries gauge
+  // the family totals equal a one-shard run's; only the live_entries gauge
   // gets a per-shard label (concurrent writers would tear a shared gauge).
+  // A one-shard switch registers every name unlabeled.
   ShardedFeSwitch(const CompiledPolicy& compiled,
                   const std::vector<MgpvSink*>& shard_sinks,
                   const MgpvConfig& mgpv_overrides,
@@ -51,8 +52,12 @@ class ShardedFeSwitch {
   const FeSwitch& shard(size_t s) const { return *shards_[s]; }
 
   // The shard that owns `pkt`'s CG group. Stable across the run; identical
-  // to the derivation MgpvCache::Insert applies.
+  // to the derivation MgpvCache::Insert applies. 0 without hashing when
+  // there is one shard.
   uint32_t ShardOf(const PacketRecord& pkt) const;
+
+  // Every shard as a replay target, in shard order.
+  std::vector<PacketSink*> PacketSinks();
 
   // Drains every shard's cache, in shard order. Call only after all replay
   // threads have joined (flush is not concurrency-safe against inserts).

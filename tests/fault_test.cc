@@ -173,6 +173,10 @@ TEST_P(ChaosMatrixTest, CompletesAndReconciles) {
   CollectingFeatureSink sink;
   const RunReport report = RunWithPlan(config, trace, &sink);
   ExpectReconciled(report, label);
+  // Cluster cost describes worker threads; the inline member of a serial
+  // run reports none, with or without a fault plan.
+  EXPECT_EQ(report.cluster_cost.enabled, workers > 0) << label;
+  EXPECT_EQ(report.cluster_cost.members, workers) << label;
   const FaultStats& fs = report.fault.stats;
   switch (kind) {
     case FaultKind::kMemberCrash:

@@ -171,8 +171,10 @@ ExecOptions OptionsNamed(const std::string& name) {
   return options;
 }
 
+// std::string parameters, not const char*: gtest lists a const char* parameter
+// with its address, which would give the test a different name in every build.
 class FusionTest
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string, bool>> {};
 
 TEST_P(FusionTest, FusedEmissionMatchesPerSlotReducers) {
   const std::string granularity = std::get<0>(GetParam());
@@ -222,7 +224,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("flow", "host"),
                        ::testing::Values("nic", "exact", "float32"), ::testing::Bool()),
     [](const ::testing::TestParamInfo<FusionTest::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_" + std::get<1>(info.param) +
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param) +
              (std::get<2>(info.param) ? "_batch" : "_scalar");
     });
 

@@ -1,9 +1,12 @@
 // Pins every shipped policy's output. The ten Table 3 apps and the five
 // examples/policies run over the three paper profiles (20k packets, seed 1)
-// in three shapes: serial with batch kernels, serial on the per-cell scalar
-// path (--no-batch-kernels), and 2 switch shards x 2 NIC workers. Each case
+// in four shapes: serial with batch kernels, serial on the per-cell scalar
+// path (--no-batch-kernels), 2 switch shards x 2 NIC workers, and the serial
+// daemon (RunDaemon over a TraceSource with 4096-packet epochs). Each case
 // digests the sorted CSV rows (group key, timestamp, values at the CSV's 6
 // significant digits) and compares the digest with the recorded one below.
+// Daemon epochs concatenate to the one-shot output, so the daemon shape has
+// no rows of its own: it must match the batch rows.
 //
 // A rewrite of the NIC executor (state layout, hashing, emission) must leave
 // every digest unchanged. A deliberate output change updates the table and
@@ -22,6 +25,7 @@
 
 #include "apps/policies.h"
 #include "core/runtime.h"
+#include "net/ingest.h"
 #include "net/trace_gen.h"
 #include "policy/parser.h"
 
@@ -150,8 +154,10 @@ const Golden* FindGolden(const std::string& policy, const std::string& profile,
   return nullptr;
 }
 
+// std::string parameters, not const char*: gtest lists a const char* parameter
+// with its address, which would give the test a different name in every build.
 class GoldenOutputTest
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(GoldenOutputTest, SortedRowsMatchRecordedDigest) {
   const std::string profile = std::get<0>(GetParam());
@@ -159,28 +165,41 @@ TEST_P(GoldenOutputTest, SortedRowsMatchRecordedDigest) {
   const Trace trace = GenerateTrace(ProfileByName(profile), 20000, /*seed=*/1);
   const std::vector<NamedPolicy> policies = AllPolicies();
   ASSERT_EQ(policies.size(), 15u);
+  const bool daemon = shape == "daemon";
+  const std::string recorded_shape = daemon ? "batch" : shape;
   for (const NamedPolicy& p : policies) {
     auto runtime = SuperFeRuntime::Create(p.policy, ShapeConfig(shape));
     ASSERT_TRUE(runtime.ok()) << p.name << ": " << runtime.status().ToString();
     RowDigestSink sink;
-    runtime.value()->Run(trace, &sink);
+    if (daemon) {
+      TraceSource source(&trace);
+      DaemonConfig config;
+      config.chunk_packets = 4096;
+      config.epoch_packets = 4096;
+      const DaemonReport report = runtime.value()->RunDaemon(source, &sink, config);
+      EXPECT_TRUE(report.drained) << p.name;
+      EXPECT_TRUE(report.all_epochs_reconciled) << p.name;
+      EXPECT_GT(report.epochs.size(), 1u) << p.name;
+    } else {
+      runtime.value()->Run(trace, &sink);
+    }
     const std::string digest = sink.Digest();
-    const Golden* golden = FindGolden(p.name, profile, shape);
+    const Golden* golden = FindGolden(p.name, profile, recorded_shape);
     // The failure message is the table line to record.
     EXPECT_TRUE(golden != nullptr && digest == golden->digest)
-        << "{\"" << p.name << "\", \"" << profile << "\", \"" << shape << "\", \"" << digest
-        << "\"},  // recorded: " << (golden != nullptr ? golden->digest : "none");
+        << "{\"" << p.name << "\", \"" << profile << "\", \"" << recorded_shape << "\", \""
+        << digest << "\"},  // recorded: " << (golden != nullptr ? golden->digest : "none")
+        << (daemon ? " (daemon shape)" : "");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, GoldenOutputTest,
     ::testing::Combine(::testing::Values("mawi", "enterprise", "campus"),
-                       ::testing::Values("batch", "scalar", "2x2")),
+                       ::testing::Values("batch", "scalar", "2x2", "daemon")),
     [](const ::testing::TestParamInfo<GoldenOutputTest::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             (std::string(std::get<1>(info.param)) == "2x2" ? "sharded"
-                                                            : std::get<1>(info.param));
+      return std::get<0>(info.param) + "_" +
+             (std::get<1>(info.param) == "2x2" ? "sharded" : std::get<1>(info.param));
     });
 
 }  // namespace

@@ -311,9 +311,8 @@ TEST(LatencyRuntimeTest, DisabledByDefaultAndExportsGated) {
   ASSERT_TRUE((*runtime)->WriteMetricsJson(json));
   EXPECT_EQ(json.str().find("\"latency\""), std::string::npos);
   EXPECT_EQ(json.str().find("superfe_latency_"), std::string::npos);
-  // No sampler configured: the standalone samples export declines.
-  std::ostringstream samples;
-  EXPECT_FALSE((*runtime)->WriteSamplesJson(samples));
+  // No sampler configured: the metrics JSON carries no series block.
+  EXPECT_EQ(json.str().find("\"series\""), std::string::npos);
 }
 
 TEST(LatencyRuntimeTest, MetricsJsonCarriesBreakdown) {

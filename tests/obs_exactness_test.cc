@@ -342,12 +342,15 @@ TEST(ObsSamplerTest, SampledSeriesConvergeToExactTotals) {
   ObsRun run = RunFullObs(policy, trace, 2, 2, /*batch_packets=*/4096);
   ASSERT_GE(run.report.obs.samples_captured, 1u);
 
-  // Reach into the sampler's series via the JSON-free accessor path: the
-  // registry's current value IS the converged total (asserted above), so it
-  // suffices to check the last sample captured those same values.
+  // The registry's current value IS the converged total (asserted above),
+  // so it suffices to check the last sample captured those same values.
+  // Search only the metrics JSON's "series" object, which follows the
+  // "metrics" array.
   std::ostringstream json;
-  ASSERT_TRUE(run.runtime->WriteSamplesJson(json));
-  const std::string out = json.str();
+  ASSERT_TRUE(run.runtime->WriteMetricsJson(json));
+  const size_t series_begin = json.str().find("\"series\":");
+  ASSERT_NE(series_begin, std::string::npos);
+  const std::string out = json.str().substr(series_begin);
 
   const auto expect_final = [&](const std::string& key, uint64_t want) {
     // The series is ordered; the exact total must appear as a sample value

@@ -7,7 +7,7 @@
 //               [--workers N] [--switch-shards N] [--pin-threads]
 //               [--metrics-json FILE] [--metrics-prom FILE]
 //               [--trace-out FILE] [--sample-interval-ms N]
-//               [--latency-report] [--samples-out FILE]
+//               [--latency-report]
 //               [--obs-batch N] [--profile-cycles]
 //               [--telemetry-port P] [--telemetry-linger-ms N]
 //               [--fault-plan FILE] [--flush-timeout-ms N] [--watchdog-ms N]
@@ -69,7 +69,6 @@ int Usage() {
                "                   [--trace-out FILE]     Chrome trace JSON (Perfetto)\n"
                "                   [--sample-interval-ms N]  snapshot period (default 2)\n"
                "                   [--latency-report]     per-stage latency breakdown\n"
-               "                   [--samples-out FILE]   sampler time series as JSON\n"
                "                   [--obs-batch N]        hot-tier flush cadence in packets\n"
                "                                          (default 4096; 1 = per-packet)\n"
                "                   [--profile-cycles]     measured per-stage cycle profile\n"
@@ -298,7 +297,6 @@ int main(int argc, char** argv) {
   std::string metrics_json_path;
   std::string metrics_prom_path;
   std::string trace_out_path;
-  std::string samples_out_path;
   uint32_t sample_interval_ms = 2;
   bool latency_report = false;
   uint32_t obs_batch = 0;  // 0 = keep the RuntimeConfig default.
@@ -350,8 +348,6 @@ int main(int argc, char** argv) {
       sample_interval_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--latency-report") == 0) {
       latency_report = true;
-    } else if (std::strcmp(argv[i], "--samples-out") == 0 && i + 1 < argc) {
-      samples_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--obs-batch") == 0 && i + 1 < argc) {
       obs_batch = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--profile-cycles") == 0) {
@@ -458,8 +454,7 @@ int main(int argc, char** argv) {
   config.worker_threads = workers;
   config.switch_shards = switch_shards;
   config.pin_threads = pin_threads;
-  if (!metrics_json_path.empty() || !metrics_prom_path.empty() ||
-      !samples_out_path.empty() || telemetry_port >= 0) {
+  if (!metrics_json_path.empty() || !metrics_prom_path.empty() || telemetry_port >= 0) {
     config.obs.metrics = true;
     config.obs.sample_interval_ms = sample_interval_ms;
   }
@@ -528,9 +523,6 @@ int main(int argc, char** argv) {
     });
     ok &= write_export(trace_out_path, [&](std::ostream& os) {
       return (*runtime)->WriteTraceJson(os);
-    });
-    ok &= write_export(samples_out_path, [&](std::ostream& os) {
-      return (*runtime)->WriteSamplesJson(os);
     });
     return ok;
   };
