@@ -99,15 +99,6 @@ double Rng::Exponential(double rate) {
 
 double Rng::LogNormal(double mu, double sigma) { return std::exp(mu + sigma * Normal()); }
 
-double Rng::Pareto(double xm, double alpha) {
-  assert(xm > 0.0 && alpha > 0.0);
-  double u = 0.0;
-  do {
-    u = UniformDouble();
-  } while (u <= 0.0);
-  return xm * std::pow(u, -1.0 / alpha);
-}
-
 uint64_t Rng::Zipf(uint64_t n, double s) {
   assert(n >= 1);
   // Rejection-inversion sampling (Hormann & Derflinger) specialized for s != 1.
@@ -135,34 +126,6 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
       return k;
     }
   }
-}
-
-uint64_t Rng::Geometric(double p) {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) {
-    return 1;
-  }
-  double u = 0.0;
-  do {
-    u = UniformDouble();
-  } while (u <= 0.0);
-  return 1 + static_cast<uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
-uint64_t Rng::Poisson(double mean) {
-  assert(mean >= 0.0);
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    double product = UniformDouble();
-    uint64_t count = 0;
-    while (product > limit) {
-      product *= UniformDouble();
-      ++count;
-    }
-    return count;
-  }
-  const double value = Normal(mean, std::sqrt(mean));
-  return value <= 0.0 ? 0 : static_cast<uint64_t>(value + 0.5);
 }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {

@@ -47,17 +47,8 @@ class Rng {
   // Log-normal with given mu/sigma of the underlying normal.
   double LogNormal(double mu, double sigma);
 
-  // Pareto (Lomax-style heavy tail): xm * U^{-1/alpha}; alpha > 0, xm > 0.
-  double Pareto(double xm, double alpha);
-
   // Zipf-distributed rank in [1, n] with exponent s, via rejection-inversion.
   uint64_t Zipf(uint64_t n, double s);
-
-  // Geometric number of trials >= 1 with success probability p in (0, 1].
-  uint64_t Geometric(double p);
-
-  // Poisson with given mean (Knuth for small mean, normal approx for large).
-  uint64_t Poisson(double mean);
 
   // Picks an index in [0, weights.size()) proportional to weights.
   size_t WeightedIndex(const std::vector<double>& weights);

@@ -32,20 +32,6 @@ double Variance(const std::vector<double>& xs) {
 
 double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
 
-double Min(const std::vector<double>& xs) {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double Max(const std::vector<double>& xs) {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 namespace {
 
 double CentralMoment(const std::vector<double>& xs, int order) {
@@ -101,35 +87,9 @@ double PearsonCorrelation(const std::vector<double>& xs, const std::vector<doubl
   return Covariance(xs, ys) / (sx * sy);
 }
 
-double Quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
 double RelativeError(double got, double want, double eps) {
   const double denom = std::max(std::fabs(want), eps);
   return std::fabs(got - want) / denom;
-}
-
-double MeanRelativeError(const std::vector<double>& got, const std::vector<double>& want,
-                         double eps) {
-  assert(got.size() == want.size());
-  if (got.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < got.size(); ++i) {
-    sum += RelativeError(got[i], want[i], eps);
-  }
-  return sum / static_cast<double>(got.size());
 }
 
 }  // namespace superfe

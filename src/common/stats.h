@@ -16,9 +16,6 @@ double Mean(const std::vector<double>& xs);
 double Variance(const std::vector<double>& xs);
 double StdDev(const std::vector<double>& xs);
 
-double Min(const std::vector<double>& xs);
-double Max(const std::vector<double>& xs);
-
 // Fisher skewness / excess-free kurtosis (population moments).
 double Skewness(const std::vector<double>& xs);
 double Kurtosis(const std::vector<double>& xs);
@@ -27,15 +24,8 @@ double Kurtosis(const std::vector<double>& xs);
 double Covariance(const std::vector<double>& xs, const std::vector<double>& ys);
 double PearsonCorrelation(const std::vector<double>& xs, const std::vector<double>& ys);
 
-// Linear-interpolated quantile, q in [0, 1].
-double Quantile(std::vector<double> xs, double q);
-
 // Relative error |got - want| / max(|want|, eps).
 double RelativeError(double got, double want, double eps = 1e-9);
-
-// Mean relative error across two equal-length vectors.
-double MeanRelativeError(const std::vector<double>& got, const std::vector<double>& want,
-                         double eps = 1e-9);
 
 }  // namespace superfe
 

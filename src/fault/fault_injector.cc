@@ -163,10 +163,6 @@ bool FaultInjector::QueueSaturated(uint32_t member, uint64_t evict_ns) const {
   return false;
 }
 
-bool FaultInjector::MemberCrashedAt(uint32_t member, uint64_t t_ns) const {
-  return member < crashes_.size() && t_ns >= crashes_[member].crash_ns;
-}
-
 bool FaultInjector::MemberDeadAtFlush(uint32_t member) const {
   if (member >= crashes_.size()) {
     return false;

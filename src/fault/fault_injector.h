@@ -108,9 +108,6 @@ class FaultInjector {
   // evict_ns: the cluster runs its bounded retry/backoff loop and sheds.
   bool QueueSaturated(uint32_t member, uint64_t evict_ns) const;
 
-  // True while `member` is crashed at `t` (after its earliest crash point).
-  bool MemberCrashedAt(uint32_t member, uint64_t t_ns) const;
-
   // True when `member` died within the observed run: its crash point is at
   // or before the latest eviction the router saw. Used at flush time to
   // abandon (not emit) the dead member's residual state.

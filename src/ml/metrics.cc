@@ -25,10 +25,6 @@ double BinaryMetrics::F1() const {
   return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
 }
 
-double BinaryMetrics::FalsePositiveRate() const {
-  return fp + tn == 0 ? 0.0 : static_cast<double>(fp) / (fp + tn);
-}
-
 BinaryMetrics EvaluateBinary(const std::vector<int>& truth, const std::vector<int>& predicted) {
   assert(truth.size() == predicted.size());
   BinaryMetrics m;

@@ -17,7 +17,6 @@ struct BinaryMetrics {
   double Precision() const;
   double Recall() const;  // = TPR.
   double F1() const;
-  double FalsePositiveRate() const;
 };
 
 // Confusion counts from binary predictions.

@@ -36,23 +36,6 @@ void PutU64Le(uint8_t* p, uint64_t v) {
 
 }  // namespace
 
-PacketSource::Next TraceSource::NextChunk(std::vector<PacketRecord>* out,
-                                          size_t max_packets) {
-  if (trace_ == nullptr || cursor_ >= trace_->size() ||
-      stop_.load(std::memory_order_relaxed)) {
-    return Next::kEnd;
-  }
-  const auto& packets = trace_->packets();
-  const size_t end = std::min(packets.size(), cursor_ + std::max<size_t>(max_packets, 1));
-  for (; cursor_ < end; ++cursor_) {
-    out->push_back(packets[cursor_]);
-    ++stats_.frames;
-    stats_.bytes += packets[cursor_].wire_bytes;
-  }
-  ++stats_.chunks;
-  return Next::kChunk;
-}
-
 LoopedTraceSource::LoopedTraceSource(const Trace* trace, uint64_t loops)
     : trace_(trace), loops_(loops), period_ns_(trace != nullptr ? PeriodNs(*trace) : 0) {}
 

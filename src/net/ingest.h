@@ -3,11 +3,10 @@
 // One-shot replay reads a whole Trace up front; a daemon instead pulls
 // bounded chunks from a PacketSource and feeds them to the streaming
 // replayer, so memory stays bounded and the source can be something other
-// than a file. Three sources ship: TraceSource (the current pcap/generator
-// path, chunked), LoopedTraceSource (replays the trace N times or forever —
-// the soak workload), and SocketSource (a loopback TCP/UDP listener carrying
-// length-prefixed wire frames plus capture metadata, reusing
-// src/common/socket.*).
+// than a file. Two sources ship: LoopedTraceSource (the pcap/generator trace,
+// chunked, replayed N times or forever — the soak workload) and SocketSource
+// (a loopback TCP/UDP listener carrying length-prefixed wire frames plus
+// capture metadata, reusing src/common/socket.*).
 //
 // The contract is pull-based and non-blocking-ish: NextChunk() returns
 //   kChunk — `out` holds 1..max_packets records (appended, in arrival order)
@@ -58,26 +57,10 @@ class PacketSource {
   virtual void RequestStop() {}
 };
 
-// Chunked cursor over an in-memory Trace — the existing pcap/generator path
-// behind the PacketSource interface.
-class TraceSource : public PacketSource {
- public:
-  explicit TraceSource(const Trace* trace) : trace_(trace) {}
-
-  Next NextChunk(std::vector<PacketRecord>* out, size_t max_packets) override;
-  const IngestStats& stats() const override { return stats_; }
-  void RequestStop() override { stop_.store(true, std::memory_order_relaxed); }
-
- private:
-  const Trace* trace_;
-  size_t cursor_ = 0;
-  std::atomic<bool> stop_{false};
-  IngestStats stats_;
-};
-
-// Replays `trace` `loops` times (0 = until RequestStop), shifting loop l's
-// timestamps by l × PeriodNs(trace) so the stream stays time-ordered with a
-// one-mean-gap seam between passes. Chunks never span a loop boundary.
+// Chunked cursor over an in-memory Trace that replays it `loops` times
+// (0 = until RequestStop), shifting loop l's timestamps by l × PeriodNs(trace)
+// so the stream stays time-ordered with a one-mean-gap seam between passes.
+// Chunks never span a loop boundary; one loop is the trace itself.
 class LoopedTraceSource : public PacketSource {
  public:
   LoopedTraceSource(const Trace* trace, uint64_t loops);

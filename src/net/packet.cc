@@ -4,13 +4,6 @@
 
 namespace superfe {
 
-uint64_t PacketRecord::ChannelKey() const {
-  // Ordered (initiator, responder) pair: both directions share a key, and
-  // the key nests inside the initiator host key (see group_key.cc).
-  const FiveTuple initiator = InitiatorTuple();
-  return (static_cast<uint64_t>(initiator.src_ip) << 32) | initiator.dst_ip;
-}
-
 std::string PacketRecord::ToString() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%llu ns %s len=%u dir=%c", (unsigned long long)timestamp_ns,

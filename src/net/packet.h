@@ -37,24 +37,14 @@ struct PacketRecord {
   uint64_t src_mac = 0;  // Lower 48 bits significant.
   uint64_t dst_mac = 0;
 
-  bool is_tcp() const { return tuple.protocol == kProtoTcp; }
-  bool is_udp() const { return tuple.protocol == kProtoUdp; }
-
   // The five-tuple as sent by the flow initiator (forward packets already
-  // are; backward packets are reversed back). Every grouping key below is
-  // derived from this orientation, matching GroupKey's initiator-oriented
-  // chain.
+  // are; backward packets are reversed back). GroupKey derives every
+  // granularity's key from this orientation (switchsim/group_key.h).
   FiveTuple InitiatorTuple() const {
     return direction == Direction::kForward ? tuple : tuple.Reversed();
   }
 
-  // Grouping keys for the SuperFE granularities (Table 5). `host` groups by
-  // the initiator's IP; `channel` by the ordered (initiator, responder) IP
-  // pair; `socket`/`flow` by the five-tuple. Initiator orientation makes
-  // both directions of a conversation land in the same group.
-  uint64_t HostKey() const { return InitiatorTuple().src_ip; }
-  uint64_t ChannelKey() const;
-  FiveTuple SocketKey() const { return tuple.Canonical(); }
+  // Orientation-free flow identity (trace statistics count distinct flows).
   FiveTuple FlowKey() const { return tuple.Canonical(); }
 
   // Signed direction factor: +1 forward, -1 backward (used by f_direction).

@@ -66,8 +66,6 @@ Status WritePcap(const std::string& path, const Trace& trace) {
   return Status::Ok();
 }
 
-Result<Trace> ReadPcap(const std::string& path) { return ReadPcap(path, nullptr); }
-
 Result<Trace> ReadPcap(const std::string& path, PcapReadStats* stats) {
   PcapReadStats local;
   if (stats == nullptr) {

@@ -34,7 +34,6 @@ struct PcapReadStats {
 // bound is unrecoverable (the stream cannot be resynced) and fails with
 // InvalidArgument after counting it corrupt. orig_len < cap_len is repaired
 // (wire bytes clamped to cap_len) and counted corrupt but keeps the record.
-Result<Trace> ReadPcap(const std::string& path);
 Result<Trace> ReadPcap(const std::string& path, PcapReadStats* stats);
 
 }  // namespace superfe

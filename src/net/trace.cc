@@ -60,10 +60,6 @@ TraceStats Trace::ComputeStats() const {
   return stats;
 }
 
-void Trace::Append(const Trace& other) {
-  packets_.insert(packets_.end(), other.packets().begin(), other.packets().end());
-}
-
 void LabeledTrace::SortByTime() {
   std::vector<size_t> order(trace.size());
   std::iota(order.begin(), order.end(), 0);

@@ -49,9 +49,6 @@ class Trace {
 
   TraceStats ComputeStats() const;
 
-  // Appends all packets of `other` (labels are not merged; use LabeledTrace).
-  void Append(const Trace& other);
-
  private:
   std::string name_;
   std::vector<PacketRecord> packets_;

@@ -5,16 +5,6 @@
 
 namespace superfe {
 
-double TraceProfile::ExpectedMeanPacketSize() const {
-  double total_weight = 0.0;
-  double weighted = 0.0;
-  for (const auto& [size, weight] : size_mix) {
-    total_weight += weight;
-    weighted += static_cast<double>(size) * weight;
-  }
-  return total_weight > 0.0 ? weighted / total_weight : 0.0;
-}
-
 TraceProfile MawiIxpProfile() {
   TraceProfile p;
   p.name = "MAWI-IXP";

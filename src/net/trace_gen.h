@@ -49,9 +49,6 @@ struct TraceProfile {
   uint32_t src_pool = 20000;
   uint32_t dst_pool = 5000;
   double dst_zipf_s = 1.1;
-
-  // Expected mean of the size mixture.
-  double ExpectedMeanPacketSize() const;
 };
 
 // The three paper workloads (Table 2 targets in comments).

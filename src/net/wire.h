@@ -1,8 +1,9 @@
 // Byte-level Ethernet/IPv4/TCP/UDP frame encoding and parsing.
 //
-// The FE-Switch front end parses header fields from raw frames exactly like a
-// P4 parser would (§5); the trace generators therefore emit real frames, and
-// the pcap reader/writer round-trips them.
+// The pcap reader and the socket ingest source parse header fields from raw
+// frames exactly like the FE-Switch's P4 parser would (§5); the trace
+// generators therefore emit real frames, and the pcap reader/writer
+// round-trips them.
 #ifndef SUPERFE_NET_WIRE_H_
 #define SUPERFE_NET_WIRE_H_
 

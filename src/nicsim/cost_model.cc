@@ -149,8 +149,4 @@ double NicPerfModel::ThroughputPps(uint32_t cores) const {
   return core_hz / cycles_per_cell * scaling;
 }
 
-double NicPerfModel::ThroughputGbps(uint32_t cores, double avg_packet_bytes) const {
-  return ThroughputPps(cores) * avg_packet_bytes * 8.0 * 1e-9;
-}
-
 }  // namespace superfe

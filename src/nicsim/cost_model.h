@@ -123,7 +123,6 @@ class NicPerfModel {
   // NBI distributes per-IP so scaling is near-linear with a small
   // serialization term.
   double ThroughputPps(uint32_t cores) const;
-  double ThroughputGbps(uint32_t cores, double avg_packet_bytes) const;
 
   const NicOptimizations& optimizations() const { return opts_; }
   const CycleCosts& costs() const { return costs_; }

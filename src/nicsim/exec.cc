@@ -85,7 +85,7 @@ StateFamily Reducer::Family(const ReduceSpec& spec, bool directional) {
 }
 
 Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional)
-    : spec_(spec), compensated_(options.compensated_batch) {
+    : spec_(spec) {
   const double lambda = spec.decay_lambda;
   const DampedMode mode = options.EffectiveDampedMode();
   switch (Family(spec, directional)) {
@@ -174,10 +174,7 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
   }
   std::visit(
       Overloaded{
-          [&](exec_internal::SumAgg& agg) {
-            agg.sum += compensated_ ? batchkern::SumCompensated(values, n)
-                                    : batchkern::Sum(values, n);
-          },
+          [&](exec_internal::SumAgg& agg) { agg.sum += batchkern::Sum(values, n); },
           [&](exec_internal::MinMaxAgg& agg) {
             double mn = 0.0, mx = 0.0;
             batchkern::MinMax(values, n, &mn, &mx);
@@ -189,11 +186,11 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
             }
             agg.any = true;
           },
-          [&](WelfordStats& w) { w.AddBatch(values, n, compensated_); },
+          [&](WelfordStats& w) { w.AddBatch(values, n); },
           [&](NicWelfordStats& w) { w.AddBatchRounded(values, n); },
           [&](DampedStats& damped) { damped.AddBatch(values, t_seconds, n); },
           [&](DampedStats2D& two_sided) { two_sided.AddBatch(values, t_seconds, dir_sign, n); },
-          [&](StreamingMoments& moments) { moments.AddBatch(values, n, compensated_); },
+          [&](StreamingMoments& moments) { moments.AddBatch(values, n); },
           [&](HyperLogLog& hll) {
             if (scratch_u64.size() < n) {
               scratch_u64.resize(n);
@@ -643,10 +640,11 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
   fields[ExecPlan::kFieldTstamp] = t_ns;
   fields[ExecPlan::kFieldDirection] = static_cast<double>(dir_sign);
   // The FG-key hash is the switch-computed index shipped with the cell; a
-  // double holds 32 bits exactly.
-  const auto fg_bytes = cell.fg_tuple.ToBytes();
-  fields[ExecPlan::kFieldFgKey] =
-      static_cast<double>(Crc32(fg_bytes.data(), fg_bytes.size()));
+  // double holds 32 bits exactly. Only a plan that reads fgkey computes it.
+  if (plan.uses_fg_key) {
+    const auto fg_bytes = cell.fg_tuple.ToBytes();
+    fields[ExecPlan::kFieldFgKey] = static_cast<double>(Crc32(fg_bytes.data(), fg_bytes.size()));
+  }
 
   for (const auto& m : plan.maps) {
     const double src = m.src >= 0 ? fields[m.src] : 0.0;

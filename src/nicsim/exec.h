@@ -33,12 +33,6 @@ struct ExecOptions {
   // double-precision (the standard feature definitions of Fig 10).
   bool nic_arithmetic = true;
 
-  // Neumaier-compensated summation inside the double-precision batch
-  // kernels (sum / Welford / moments chunk passes). Closes the documented
-  // ULP gap between batch and scalar summation order at scalar speed; the
-  // bit-exact integer/fixed-point kernels ignore it.
-  bool compensated_batch = false;
-
   // Explicit damped-window arithmetic override; unset derives it from
   // nic_arithmetic. kFloat32 reproduces the original Kitsune implementation
   // for the Fig 10 comparison.
@@ -147,7 +141,6 @@ class Reducer {
   const DampedStats& DampedSide(Direction dir) const;
 
   ReduceSpec spec_;
-  bool compensated_ = false;
   std::variant<exec_internal::SumAgg, exec_internal::MinMaxAgg, WelfordStats, NicWelfordStats,
                DampedStats, StreamingMoments, DampedStats2D, HyperLogLog,
                exec_internal::ArrayAgg, FixedHistogram, exec_internal::LogHist>
@@ -194,8 +187,8 @@ struct ExecPlan {
   std::vector<MapStep> maps;
   std::vector<GranularityPlan> per_granularity;  // Chain order.
   uint32_t width = 0;  // Feature-vector width, all granularities.
-  // True when any map or reduce reads the fgkey builtin — the batch path
-  // computes the per-cell CRC column lazily and only when needed.
+  // True when any map or reduce reads the fgkey builtin — both paths compute
+  // the per-cell CRC only when needed (the batch path lazily, per column).
   bool uses_fg_key = false;
 
   static Result<ExecPlan> FromProgram(const NicProgram& program);

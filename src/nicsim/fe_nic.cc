@@ -286,11 +286,6 @@ void FeNic::EmitVector(size_t unit_gi, const GroupKey& unit_key, const GroupStat
                                         unit_key, unit_group.last_seen_ns));
 }
 
-void FeNic::EvictIdleGroups(uint64_t now_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EvictIdleGroupsLocked(now_ns);
-}
-
 void FeNic::EvictIdleGroupsLocked(uint64_t now_ns) {
   if (config_.idle_timeout_ns == 0 || compiled_.nic_program.collect.per_packet) {
     return;

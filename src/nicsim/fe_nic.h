@@ -114,11 +114,6 @@ class FeNic : public MgpvSink {
   // cluster feeds into FaultStats::groups_abandoned.
   uint64_t AbandonState();
 
-  // Sweeps the collect-unit table and emits/evicts groups idle for longer
-  // than config.idle_timeout_ns (no-op when the timeout is 0 or collection
-  // is per-packet). Called internally per report; exposed for tests.
-  void EvictIdleGroups(uint64_t now_ns);
-
   // Consistent copies, safe to call from any thread while the owning
   // thread is processing (NicCluster aggregates these mid-run).
   FeNicStats Snapshot() const;
@@ -147,7 +142,9 @@ class FeNic : public MgpvSink {
   FeNic(const CompiledPolicy& compiled, const FeNicConfig& config, FeatureSink* sink,
         ExecPlan plan, PlacementProblem problem, PlacementResult placement);
 
-  // Unlocked implementations; callers hold mu_.
+  // Sweeps the collect-unit table and emits/evicts groups idle for longer
+  // than config.idle_timeout_ns (no-op when the timeout is 0 or collection
+  // is per-packet). Called per report; the caller holds mu_.
   void EvictIdleGroupsLocked(uint64_t now_ns);
 
   // Routes reports to the batch or scalar path (per config/collect mode).

@@ -137,22 +137,6 @@ std::array<uint32_t, kNumMemLevels> DefaultTableWidths(uint32_t state_bytes_per_
   return {1, 1, 1, 1};
 }
 
-uint64_t PlacementResult::TotalBytesUsed(const PlacementProblem& problem) const {
-  const uint64_t groups =
-      static_cast<uint64_t>(problem.groups_per_granularity) * problem.granularity_instances;
-  uint64_t per_group = 0;
-  int levels_used = 0;
-  for (int m = 0; m < kNumMemLevels; ++m) {
-    if (level_bytes[m] > 0) {
-      per_group += level_bytes[m];
-      ++levels_used;
-    }
-  }
-  // Each occupied level's table stores its own key copy.
-  per_group += static_cast<uint64_t>(levels_used) * problem.key_bytes;
-  return per_group * groups;
-}
-
 double PlacementResult::MemoryUtilization(const PlacementProblem& problem) const {
   // On-chip (hierarchical SRAM) utilization: per level, usage is clamped at
   // the level's capacity — EMEM overflow spills to external DRAM, which is

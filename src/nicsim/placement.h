@@ -50,9 +50,6 @@ struct PlacementResult {
   uint64_t LatencyPerPacket(const NfpArch& arch,
                             const std::vector<StateItem>& states) const;
 
-  // Aggregate bytes used across the hierarchy for all groups.
-  uint64_t TotalBytesUsed(const PlacementProblem& problem) const;
-
   // Fraction of total hierarchical memory in use (Table 4 NIC column).
   double MemoryUtilization(const PlacementProblem& problem) const;
 };

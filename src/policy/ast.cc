@@ -175,14 +175,6 @@ std::string FilterExpr::ToString() const {
   return out;
 }
 
-FilterExpr FilterExpr::TcpOnly() {
-  return FilterExpr{{Predicate{PredField::kProtocol, PredOp::kEq, kProtoTcp}}};
-}
-
-FilterExpr FilterExpr::UdpOnly() {
-  return FilterExpr{{Predicate{PredField::kProtocol, PredOp::kEq, kProtoUdp}}};
-}
-
 const char* MapFnName(MapFn fn) {
   switch (fn) {
     case MapFn::kOne:

@@ -63,9 +63,6 @@ struct FilterExpr {
 
   bool Matches(const PacketRecord& pkt) const;
   std::string ToString() const;
-
-  static FilterExpr TcpOnly();
-  static FilterExpr UdpOnly();
 };
 
 // ---- Mapping functions (Table 5) ----

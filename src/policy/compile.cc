@@ -4,7 +4,7 @@
 #include <map>
 #include <set>
 
-#include "policy/builder.h"
+#include "policy/validate.h"
 
 namespace superfe {
 

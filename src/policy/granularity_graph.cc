@@ -118,9 +118,4 @@ Result<std::vector<std::vector<int>>> GranularityGraph::SplitIntoMinimumChains()
   return chains;
 }
 
-int GranularityGraph::MinimumChainCount() const {
-  auto chains = SplitIntoMinimumChains();
-  return chains.ok() ? static_cast<int>(chains->size()) : -1;
-}
-
 }  // namespace superfe

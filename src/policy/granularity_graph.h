@@ -41,10 +41,6 @@ class GranularityGraph {
   // node appears in exactly one chain. Fails if the graph has a cycle.
   Result<std::vector<std::vector<int>>> SplitIntoMinimumChains() const;
 
-  // Lower bound check: by Dilworth's theorem the minimum number of chains
-  // equals the maximum antichain; exposed for tests/diagnostics.
-  int MinimumChainCount() const;
-
  private:
   // Transitive closure reach[u][v] = v refines u (directly or not).
   std::vector<std::vector<bool>> TransitiveClosure() const;

@@ -6,7 +6,7 @@
 #include <optional>
 #include <vector>
 
-#include "policy/builder.h"
+#include "policy/validate.h"
 
 namespace superfe {
 namespace {

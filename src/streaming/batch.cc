@@ -206,22 +206,6 @@ __attribute__((target("avx2"))) void CentralM234Avx2(const double* v, size_t n,
 }
 #endif  // SUPERFE_X86_SIMD
 
-// Sequential Neumaier accumulator for the compensated variants.
-struct Neumaier {
-  double sum = 0.0;
-  double comp = 0.0;
-  void Add(double x) {
-    const double t = sum + x;
-    if (std::fabs(sum) >= std::fabs(x)) {
-      comp += (sum - t) + x;
-    } else {
-      comp += (x - t) + sum;
-    }
-    sum = t;
-  }
-  double Result() const { return sum + comp; }
-};
-
 // ---------------------------------------------------------------------------
 // Min / max
 // ---------------------------------------------------------------------------
@@ -352,34 +336,8 @@ double Sum(const double* v, size_t n) {
   return SumScalar(v, n);
 }
 
-double SumCompensated(const double* v, size_t n) {
-  Neumaier acc;
-  for (size_t i = 0; i < n; ++i) {
-    acc.Add(v[i]);
-  }
-  return acc.Result();
-}
-
-void CentralPowers(const double* v, size_t n, double center, bool compensated,
-                   double* m2_out, double* m3_out, double* m4_out) {
-  if (compensated) {
-    Neumaier a2, a3, a4;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = v[i] - center;
-      const double d2 = d * d;
-      a2.Add(d2);
-      if (m3_out != nullptr) {
-        a3.Add(d2 * d);
-        a4.Add(d2 * d2);
-      }
-    }
-    *m2_out = a2.Result();
-    if (m3_out != nullptr) {
-      *m3_out = a3.Result();
-      *m4_out = a4.Result();
-    }
-    return;
-  }
+void CentralPowers(const double* v, size_t n, double center, double* m2_out, double* m3_out,
+                   double* m4_out) {
   if (m3_out == nullptr) {
 #ifdef SUPERFE_X86_SIMD
     switch (ActiveSimdLevel()) {
@@ -450,16 +408,14 @@ void HashU64Batch(const uint64_t* v, size_t n, uint32_t* out) {
 // (their speedup comes from amortizing per-cell dispatch, not reordering).
 // ---------------------------------------------------------------------------
 
-void WelfordStats::AddBatch(const double* v, size_t n, bool compensated) {
+void WelfordStats::AddBatch(const double* v, size_t n) {
   if (n == 0) {
     return;
   }
   const double nb = static_cast<double>(n);
-  const double sum =
-      compensated ? batchkern::SumCompensated(v, n) : batchkern::Sum(v, n);
-  const double mean_b = sum / nb;
+  const double mean_b = batchkern::Sum(v, n) / nb;
   double m2_b = 0.0;
-  batchkern::CentralPowers(v, n, mean_b, compensated, &m2_b, nullptr, nullptr);
+  batchkern::CentralPowers(v, n, mean_b, &m2_b, nullptr, nullptr);
   if (n_ == 0) {
     n_ = n;
     mean_ = mean_b;
@@ -589,16 +545,14 @@ void FixedHistogram::AddBatch(const double* v, size_t n) {
   total_ += n;
 }
 
-void StreamingMoments::AddBatch(const double* v, size_t n, bool compensated) {
+void StreamingMoments::AddBatch(const double* v, size_t n) {
   if (n == 0) {
     return;
   }
   const double nb = static_cast<double>(n);
-  const double sum =
-      compensated ? batchkern::SumCompensated(v, n) : batchkern::Sum(v, n);
-  const double mean_b = sum / nb;
+  const double mean_b = batchkern::Sum(v, n) / nb;
   double m2_b = 0.0, m3_b = 0.0, m4_b = 0.0;
-  batchkern::CentralPowers(v, n, mean_b, compensated, &m2_b, &m3_b, &m4_b);
+  batchkern::CentralPowers(v, n, mean_b, &m2_b, &m3_b, &m4_b);
   if (n_ == 0) {
     n_ = n;
     mean_ = mean_b;

@@ -28,16 +28,11 @@ namespace batchkern {
 // 4-lane sum of v[0..n).
 double Sum(const double* v, size_t n);
 
-// Sequential Neumaier-compensated sum: slower, but split-invariant to well
-// under 1 ULP of the condition-free bound. Selected by
-// ExecOptions::compensated_batch.
-double SumCompensated(const double* v, size_t n);
-
 // Sums of centered powers: m2 += (v-center)^2 and, when m3_out/m4_out are
-// non-null, m3 += (v-center)^3, m4 += (v-center)^4. 4-lane (or sequential
-// Neumaier when `compensated`). Outputs are overwritten, not accumulated.
-void CentralPowers(const double* v, size_t n, double center, bool compensated,
-                   double* m2_out, double* m3_out, double* m4_out);
+// non-null, m3 += (v-center)^3, m4 += (v-center)^4. 4-lane. Outputs are
+// overwritten, not accumulated.
+void CentralPowers(const double* v, size_t n, double center, double* m2_out, double* m3_out,
+                   double* m4_out);
 
 // Min and max of v[0..n). No-op when n == 0. Exact (order-independent).
 void MinMax(const double* v, size_t n, double* min_out, double* max_out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace superfe {
 
@@ -35,116 +34,6 @@ std::vector<double> FixedHistogram::Cdf() const {
     cdf[i] += cdf[i - 1];
   }
   return cdf;
-}
-
-double FixedHistogram::PercentileOf(double x) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  uint64_t below = 0;
-  const int limit = std::min(x <= 0.0 ? 0 : static_cast<int>(x / width_), bins());
-  for (int i = 0; i < limit; ++i) {
-    below += counts_[i];
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-double FixedHistogram::Quantile(double q) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (int i = 0; i < bins(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cumulative) / static_cast<double>(counts_[i]);
-      return (static_cast<double>(i) + frac) * width_;
-    }
-    cumulative = next;
-  }
-  return static_cast<double>(bins()) * width_;
-}
-
-VariableHistogram::VariableHistogram(std::vector<double> edges) : edges_(std::move(edges)) {
-  assert(!edges_.empty());
-  assert(std::is_sorted(edges_.begin(), edges_.end()));
-  counts_.assign(edges_.size(), 0);  // Last bucket is the tail catch-all.
-}
-
-VariableHistogram VariableHistogram::FromCalibration(std::vector<double> sample, int bins) {
-  assert(bins > 0);
-  std::sort(sample.begin(), sample.end());
-  std::vector<double> edges;
-  edges.reserve(bins);
-  edges.push_back(sample.empty() ? 0.0 : sample.front());
-  for (int i = 1; i < bins; ++i) {
-    const double q = static_cast<double>(i) / bins;
-    const size_t idx =
-        sample.empty() ? 0 : std::min(static_cast<size_t>(q * sample.size()), sample.size() - 1);
-    const double edge = sample.empty() ? static_cast<double>(i) : sample[idx];
-    if (edge > edges.back()) {
-      edges.push_back(edge);
-    }
-  }
-  return VariableHistogram(std::move(edges));
-}
-
-void VariableHistogram::Add(double x) {
-  // First bucket whose lower edge exceeds x, minus one.
-  const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-  size_t bin = it == edges_.begin() ? 0 : static_cast<size_t>(it - edges_.begin() - 1);
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-  ++total_;
-}
-
-std::vector<double> VariableHistogram::Pdf() const {
-  std::vector<double> pdf(counts_.size(), 0.0);
-  if (total_ == 0) {
-    return pdf;
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    pdf[i] = static_cast<double>(counts_[i]) / static_cast<double>(total_);
-  }
-  return pdf;
-}
-
-double VariableHistogram::PercentileOf(double x) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  uint64_t below = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double upper = i + 1 < edges_.size() ? edges_[i + 1] : INFINITY;
-    if (upper <= x) {
-      below += counts_[i];
-    } else {
-      break;
-    }
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-double VariableHistogram::Quantile(double q) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double lo = edges_[i];
-      const double hi = i + 1 < edges_.size() ? edges_[i + 1] : lo * 2.0 + 1.0;
-      const double frac = (target - cumulative) / static_cast<double>(counts_[i]);
-      return lo + frac * (hi - lo);
-    }
-    cumulative = next;
-  }
-  return edges_.back();
 }
 
 }  // namespace superfe

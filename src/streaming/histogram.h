@@ -1,6 +1,5 @@
-// Histogram-based distribution features (§6.1): ft_hist is the base; f_pdf,
-// f_cdf and ft_percent are derived from it. Supports the paper's fixed-width
-// bins plus variable-width bins for better accuracy on skewed data.
+// Histogram-based distribution features (§6.1): ft_hist is the base; f_pdf
+// and f_cdf are derived from it. The paper's fixed-width bins.
 #ifndef SUPERFE_STREAMING_HISTOGRAM_H_
 #define SUPERFE_STREAMING_HISTOGRAM_H_
 
@@ -30,47 +29,9 @@ class FixedHistogram {
   std::vector<double> Pdf() const;
   // Cumulative distribution at bucket upper edges.
   std::vector<double> Cdf() const;
-  // Fraction of samples <= x (ft_percent of a value).
-  double PercentileOf(double x) const;
-  // Approximate q-quantile (q in [0,1]) by linear interpolation in the
-  // containing bucket.
-  double Quantile(double q) const;
-
-  uint32_t StateBytes() const { return static_cast<uint32_t>(counts_.size()) * 4; }
 
  private:
   double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
-};
-
-// Variable-width histogram over explicit bucket edges (ascending). Bucket i
-// covers [edges[i], edges[i+1]); a catch-all final bucket covers the tail.
-// SuperFE calibrates edges to the expected value distribution to improve
-// accuracy (§6.1, "variable bin width").
-class VariableHistogram {
- public:
-  explicit VariableHistogram(std::vector<double> edges);
-
-  // Builds edges as quantiles of a calibration sample, yielding
-  // equal-probability buckets.
-  static VariableHistogram FromCalibration(std::vector<double> sample, int bins);
-
-  void Add(double x);
-
-  uint64_t total() const { return total_; }
-  int bins() const { return static_cast<int>(counts_.size()); }
-  uint64_t count(int bin) const { return counts_[bin]; }
-  const std::vector<double>& edges() const { return edges_; }
-
-  std::vector<double> Pdf() const;
-  double PercentileOf(double x) const;
-  double Quantile(double q) const;
-
-  uint32_t StateBytes() const { return static_cast<uint32_t>(counts_.size()) * 4; }
-
- private:
-  std::vector<double> edges_;  // Size bins + 1 conceptually; last is +inf.
   std::vector<uint64_t> counts_;
   uint64_t total_ = 0;
 };

@@ -27,10 +27,6 @@ void HyperLogLog::AddHash(uint32_t hash) {
   registers_[index] = std::max(registers_[index], rank);
 }
 
-void HyperLogLog::Add(const void* data, size_t length) {
-  AddHash(Murmur3(data, length, 0x9c0ffee1u));
-}
-
 void HyperLogLog::AddU64(uint64_t value) {
   AddHash(static_cast<uint32_t>(Mix64(value) >> 32));
 }
@@ -71,13 +67,6 @@ double HyperLogLog::Estimate() const {
     estimate = -4294967296.0 * std::log1p(-estimate / 4294967296.0);
   }
   return estimate;
-}
-
-void HyperLogLog::Merge(const HyperLogLog& other) {
-  assert(other.index_bits_ == index_bits_);
-  for (size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
 }
 
 }  // namespace superfe

@@ -23,8 +23,7 @@ class HyperLogLog {
   // reused here, per the §6.2 optimization).
   void AddHash(uint32_t hash);
 
-  // Convenience: hashes raw bytes with Murmur3 then adds.
-  void Add(const void* data, size_t length);
+  // Convenience: hashes a 64-bit value with Mix64 then adds.
   void AddU64(uint64_t value);
 
   // Bulk inserts, register-identical to elementwise Add calls (the register
@@ -34,9 +33,6 @@ class HyperLogLog {
 
   // Bias-corrected cardinality estimate.
   double Estimate() const;
-
-  // Merges another sketch with identical geometry.
-  void Merge(const HyperLogLog& other);
 
   int index_bits() const { return index_bits_; }
   uint32_t StateBytes() const { return static_cast<uint32_t>(registers_.size()); }

@@ -19,8 +19,6 @@ void StreamingMoments::Add(double x) {
   m2_ += term1;
 }
 
-double StreamingMoments::stddev() const { return std::sqrt(variance()); }
-
 double StreamingMoments::skewness() const {
   if (n_ == 0 || m2_ <= 0.0) {
     return 0.0;
@@ -35,34 +33,6 @@ double StreamingMoments::kurtosis() const {
   }
   const double n = static_cast<double>(n_);
   return n * m4_ / (m2_ * m2_);
-}
-
-void StreamingCovariance::Add(double x, double y) {
-  ++n_;
-  const double n = static_cast<double>(n_);
-  const double dx = x - mean_x_;
-  mean_x_ += dx / n;
-  m2x_ += dx * (x - mean_x_);
-  const double dy = y - mean_y_;
-  mean_y_ += dy / n;
-  m2y_ += dy * (y - mean_y_);
-  c2_ += dx * (y - mean_y_);
-}
-
-double StreamingCovariance::correlation() const {
-  const double sx = std::sqrt(variance_x());
-  const double sy = std::sqrt(variance_y());
-  if (sx <= 0.0 || sy <= 0.0) {
-    return 0.0;
-  }
-  double r = covariance() / (sx * sy);
-  if (r > 1.0) {
-    r = 1.0;
-  }
-  if (r < -1.0) {
-    r = -1.0;
-  }
-  return r;
 }
 
 }  // namespace superfe

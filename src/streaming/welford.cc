@@ -1,6 +1,5 @@
 #include "streaming/welford.h"
 
-#include <cmath>
 #include <cstdint>
 
 namespace superfe {
@@ -11,8 +10,6 @@ void WelfordStats::Add(double x) {
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
 }
-
-double WelfordStats::stddev() const { return std::sqrt(variance()); }
 
 namespace welford_internal {
 

@@ -15,15 +15,13 @@ class WelfordStats {
   void Add(double x);
   // Bulk insert: two-pass chunk statistics merged with Chan's formulas
   // (vectorized, see streaming/batch.h). Result can differ from n scalar
-  // Adds in the last few ULPs; `compensated` uses Neumaier summation to
-  // close most of that gap at scalar speed.
-  void AddBatch(const double* v, size_t n, bool compensated = false);
+  // Adds in the last few ULPs.
+  void AddBatch(const double* v, size_t n);
 
   uint64_t count() const { return n_; }
   double mean() const { return mean_; }
   // Population variance (matches the paper's recurrence).
   double variance() const { return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0; }
-  double stddev() const;
 
   // State footprint when offloaded: n, mean, variance as 32-bit registers.
   static constexpr uint32_t kNicStateBytes = 12;

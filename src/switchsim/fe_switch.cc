@@ -1,12 +1,6 @@
 #include "switchsim/fe_switch.h"
 
-#include "net/wire.h"
-
 namespace superfe {
-
-FeSwitchObs FeSwitchObs::Create(obs::MetricsRegistry* registry) {
-  return Create(registry, {});
-}
 
 FeSwitchObs FeSwitchObs::Create(obs::MetricsRegistry* registry,
                                 const obs::LabelSet& instance_labels) {
@@ -26,9 +20,6 @@ FeSwitchObs FeSwitchObs::Create(obs::MetricsRegistry* registry,
   o.packets_batched =
       registry->GetCounter("superfe_switch_packets_batched_total", instance_labels,
                            "Packets that entered the MGPV cache");
-  o.frames_unparseable =
-      registry->GetCounter("superfe_switch_frames_unparseable_total", instance_labels,
-                           "Raw frames rejected by the parser");
   return o;
 }
 
@@ -63,7 +54,6 @@ void FeSwitch::set_obs(const FeSwitchObs& obs) {
   local_.packets_seen = block_.BindCounter(obs.packets_seen);
   local_.packets_filtered = block_.BindCounter(obs.packets_filtered);
   local_.packets_batched = block_.BindCounter(obs.packets_batched);
-  local_.frames_unparseable = block_.BindCounter(obs.frames_unparseable);
 }
 
 void FeSwitch::OnPacket(const PacketRecord& pkt) {
@@ -79,24 +69,6 @@ void FeSwitch::OnPacket(const PacketRecord& pkt) {
   obs::Inc(local_.packets_batched);
   cache_->Insert(pkt);
   block_.NotePacket();
-}
-
-void FeSwitch::OnFrame(const uint8_t* data, size_t length, uint64_t timestamp_ns) {
-  auto parsed = ParseFrame(data, length);
-  if (!parsed.ok()) {
-    stats_.packets_seen++;
-    stats_.frames_unparseable++;
-    obs::Inc(local_.packets_seen);
-    obs::Inc(local_.frames_unparseable);
-    block_.NotePacket();
-    return;  // Still forwarded; nothing to batch.
-  }
-  PacketRecord pkt = std::move(parsed).value();
-  pkt.timestamp_ns = timestamp_ns;
-  const FiveTuple canonical = pkt.tuple.Canonical();
-  const auto [it, inserted] = forward_orientation_.emplace(canonical, pkt.tuple);
-  pkt.direction = pkt.tuple == it->second ? Direction::kForward : Direction::kBackward;
-  OnPacket(pkt);
 }
 
 void FeSwitch::Flush() {

@@ -6,7 +6,6 @@
 #define SUPERFE_SWITCHSIM_FE_SWITCH_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "net/replay.h"
 #include "policy/compile.h"
@@ -18,7 +17,6 @@ struct FeSwitchStats {
   uint64_t packets_seen = 0;      // All traffic (still forwarded).
   uint64_t packets_filtered = 0;  // Dropped by the policy filter.
   uint64_t packets_batched = 0;   // Entered the MGPV cache.
-  uint64_t frames_unparseable = 0;  // Raw frames the parser rejected.
 };
 
 // Nullable observability handles mirroring FeSwitchStats (superfe_switch_*).
@@ -29,14 +27,12 @@ struct FeSwitchObs {
   obs::Counter* packets_seen = nullptr;
   obs::Counter* packets_filtered = nullptr;
   obs::Counter* packets_batched = nullptr;
-  obs::Counter* frames_unparseable = nullptr;
 
   // Cold-tier identity for the switch's WorkerObsBlock (see MgpvObs).
   obs::MetricsRegistry* registry = nullptr;
   std::string block_name = "switch";
   uint32_t flush_packets = 4096;
 
-  static FeSwitchObs Create(obs::MetricsRegistry* registry);
   static FeSwitchObs Create(obs::MetricsRegistry* registry,
                             const obs::LabelSet& instance_labels);
 };
@@ -50,13 +46,6 @@ class FeSwitch : public PacketSink {
 
   // PacketSink: the replayer feeds raw traffic here.
   void OnPacket(const PacketRecord& pkt) override;
-
-  // Raw-frame entry point: parses an Ethernet frame exactly like the P4
-  // parser (net/wire), stamps it with `timestamp_ns`, infers the flow
-  // direction from first-seen orientation (the ASIC derives it from the
-  // ingress port; a functional model has no ports), and processes it.
-  // Unparseable frames are forwarded but not batched.
-  void OnFrame(const uint8_t* data, size_t length, uint64_t timestamp_ns);
 
   // Drains the cache at end of run.
   void Flush();
@@ -88,7 +77,6 @@ class FeSwitch : public PacketSink {
     obs::WorkerObsBlock::CounterCell* packets_seen = nullptr;
     obs::WorkerObsBlock::CounterCell* packets_filtered = nullptr;
     obs::WorkerObsBlock::CounterCell* packets_batched = nullptr;
-    obs::WorkerObsBlock::CounterCell* frames_unparseable = nullptr;
   };
 
   SwitchProgram program_;
@@ -97,8 +85,6 @@ class FeSwitch : public PacketSink {
   obs::WorkerObsBlock block_;
   LocalObs local_;
   std::unique_ptr<MgpvCache> cache_;
-  // First-seen orientation per canonical flow, for the raw-frame path.
-  std::unordered_map<FiveTuple, FiveTuple, FiveTupleHash> forward_orientation_;
 };
 
 }  // namespace superfe

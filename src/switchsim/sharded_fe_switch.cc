@@ -68,7 +68,6 @@ FeSwitchStats ShardedFeSwitch::AggregateSwitchStats() const {
     total.packets_seen += s.packets_seen;
     total.packets_filtered += s.packets_filtered;
     total.packets_batched += s.packets_batched;
-    total.frames_unparseable += s.frames_unparseable;
   }
   return total;
 }

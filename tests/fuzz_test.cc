@@ -95,7 +95,7 @@ TEST(PcapFuzzTest, GarbageFilesRejected) {
       out.put(static_cast<char>(rng.UniformU64(256)));
     }
     out.close();
-    auto trace = ReadPcap(path);
+    auto trace = ReadPcap(path, nullptr);
     (void)trace;  // ok() or clean error; must not crash.
   }
   std::remove(path.c_str());
@@ -121,7 +121,7 @@ TEST(PcapFuzzTest, TruncatedValidFileRejectedCleanly) {
     std::ofstream out(path, std::ios::binary);
     out.write(full.data(), static_cast<std::streamsize>(len));
     out.close();
-    auto loaded = ReadPcap(path);
+    auto loaded = ReadPcap(path, nullptr);
     (void)loaded;
   }
   std::remove(path.c_str());

@@ -2,9 +2,10 @@
 // examples/policies run over the three paper profiles (20k packets, seed 1)
 // in four shapes: serial with batch kernels, serial on the per-cell scalar
 // path (--no-batch-kernels), 2 switch shards x 2 NIC workers, and the serial
-// daemon (RunDaemon over a TraceSource with 4096-packet epochs). Each case
-// digests the sorted CSV rows (group key, timestamp, values at the CSV's 6
-// significant digits) and compares the digest with the recorded one below.
+// daemon (RunDaemon over a one-loop LoopedTraceSource with 4096-packet
+// epochs). Each case digests the sorted CSV rows (group key, timestamp,
+// values at the CSV's 6 significant digits) and compares the digest with the
+// recorded one below.
 // Daemon epochs concatenate to the one-shot output, so the daemon shape has
 // no rows of its own: it must match the batch rows.
 //
@@ -172,7 +173,7 @@ TEST_P(GoldenOutputTest, SortedRowsMatchRecordedDigest) {
     ASSERT_TRUE(runtime.ok()) << p.name << ": " << runtime.status().ToString();
     RowDigestSink sink;
     if (daemon) {
-      TraceSource source(&trace);
+      LoopedTraceSource source(&trace, 1);
       DaemonConfig config;
       config.chunk_packets = 4096;
       config.epoch_packets = 4096;

@@ -6,7 +6,6 @@
 #include "ml/autoencoder.h"
 #include "ml/decision_tree.h"
 #include "ml/kitnet.h"
-#include "ml/random_forest.h"
 #include "ml/knn.h"
 #include "ml/metrics.h"
 
@@ -225,75 +224,6 @@ TEST(KitNetTest, DetectsDistributionShift) {
     anomaly_score += net.Score(odd);
   }
   EXPECT_GT(anomaly_score, normal_score * 1.2);
-}
-
-TEST(RandomForestTest, BeatsNoiseOnSeparableData) {
-  Rng rng(11);
-  std::vector<std::vector<double>> samples;
-  std::vector<int> labels;
-  for (int i = 0; i < 600; ++i) {
-    const int label = rng.Bernoulli(0.5) ? 1 : 0;
-    std::vector<double> x(6);
-    for (auto& v : x) {
-      v = rng.Normal(label * 2.0, 1.0);
-    }
-    samples.push_back(std::move(x));
-    labels.push_back(label);
-  }
-  RandomForest forest;
-  forest.Fit(samples, labels);
-  const auto preds = forest.PredictBatch(samples);
-  EXPECT_GT(MulticlassAccuracy(labels, preds), 0.9);
-}
-
-TEST(RandomForestTest, ScoreIsVoteFraction) {
-  RandomForestConfig config;
-  config.trees = 10;
-  RandomForest forest(config);
-  std::vector<std::vector<double>> samples;
-  std::vector<int> labels;
-  Rng rng(12);
-  for (int i = 0; i < 200; ++i) {
-    const int label = i % 2;
-    samples.push_back({label * 10.0 + rng.Normal(0, 0.1)});
-    labels.push_back(label);
-  }
-  forest.Fit(samples, labels);
-  EXPECT_EQ(forest.tree_count(), 10);
-  EXPECT_GT(forest.Score({10.0}), 0.8);
-  EXPECT_LT(forest.Score({0.0}), 0.2);
-}
-
-TEST(RandomForestTest, EmptyFitPredictsZero) {
-  RandomForest forest;
-  forest.Fit({}, {});
-  EXPECT_EQ(forest.Predict({1.0, 2.0}), 0);
-  EXPECT_EQ(forest.Score({1.0}), 0.0);
-}
-
-TEST(RandomForestTest, MoreTreesNoWorse) {
-  // XOR-ish data where single trees with tight depth struggle.
-  Rng rng(13);
-  std::vector<std::vector<double>> samples;
-  std::vector<int> labels;
-  for (int i = 0; i < 800; ++i) {
-    const double x = rng.UniformDouble();
-    const double y = rng.UniformDouble();
-    samples.push_back({x, y, rng.UniformDouble()});
-    labels.push_back((x > 0.5) != (y > 0.5) ? 1 : 0);
-  }
-  RandomForestConfig small;
-  small.trees = 1;
-  small.feature_fraction = 1.0;
-  RandomForestConfig big = small;
-  big.trees = 25;
-  RandomForest f1(small);
-  RandomForest f25(big);
-  f1.Fit(samples, labels);
-  f25.Fit(samples, labels);
-  const double a1 = MulticlassAccuracy(labels, f1.PredictBatch(samples));
-  const double a25 = MulticlassAccuracy(labels, f25.PredictBatch(samples));
-  EXPECT_GE(a25, a1 - 0.02);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "policy/builder.h"
 #include "policy/parser.h"
 
 namespace superfe {
@@ -82,6 +81,21 @@ pktstream
   ASSERT_NE(r0, nullptr);
   ASSERT_TRUE(r0->at.has_value());
   EXPECT_EQ(*r0->at, Granularity::kHost);
+}
+
+TEST(ParserTest, NormalizesGranularityChain) {
+  auto policy = ParsePolicy("chain", R"(
+pktstream
+  .groupby(socket, host, channel)
+  .reduce(size, [f_sum])
+  .collect(socket)
+)");
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  const auto* groupby = std::get_if<GroupByOp>(&policy->ops[0]);
+  ASSERT_NE(groupby, nullptr);
+  ASSERT_EQ(groupby->chain.size(), 3u);
+  EXPECT_EQ(groupby->chain[0], Granularity::kHost);
+  EXPECT_EQ(groupby->chain[2], Granularity::kSocket);
 }
 
 TEST(ParserTest, ComparisonPredicates) {
@@ -179,46 +193,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "pktstream.groupby(flow).reduce(size, [f_sum]).collect(flow) extra"}),
     [](const auto& info) { return std::string(info.param.name); });
 
-TEST(BuilderTest, BuildsEquivalentOfParsedPolicy) {
-  auto built = PolicyBuilder("built")
-                   .Filter(FilterExpr::TcpOnly())
-                   .GroupBy(Granularity::kFlow)
-                   .Map("one", "_", MapFn::kOne)
-                   .Reduce("one", {ReduceSpec{ReduceFn::kSum}})
-                   .Collect(Granularity::kFlow)
-                   .Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(built->ops.size(), 5u);
-}
-
-TEST(BuilderTest, RejectsBadPipeline) {
-  auto bad = PolicyBuilder("bad").Reduce("size", {ReduceSpec{ReduceFn::kSum}}).Build();
-  EXPECT_FALSE(bad.ok());
-}
-
-TEST(BuilderTest, NormalizesGranularityChain) {
-  auto built = PolicyBuilder("chain")
-                   .GroupBy({Granularity::kSocket, Granularity::kHost, Granularity::kChannel})
-                   .Reduce("size", {ReduceSpec{ReduceFn::kSum}})
-                   .Collect(Granularity::kSocket)
-                   .Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const auto* groupby = std::get_if<GroupByOp>(&built->ops[0]);
-  ASSERT_NE(groupby, nullptr);
-  ASSERT_EQ(groupby->chain.size(), 3u);
-  EXPECT_EQ(groupby->chain[0], Granularity::kHost);
-  EXPECT_EQ(groupby->chain[2], Granularity::kSocket);
-}
-
-TEST(BuilderTest, ReduceAtRestriction) {
-  auto built = PolicyBuilder("at")
-                   .GroupBy({Granularity::kHost, Granularity::kChannel})
-                   .ReduceAt(Granularity::kHost, "size", {ReduceSpec{ReduceFn::kMean}})
-                   .CollectPerPacket()
-                   .Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-}
-
 TEST(PolicyTest, LinesOfCodeCountsNonEmpty) {
   Policy policy;
   policy.source_text = "pktstream\n\n  .groupby(flow)\n# comment\n  .collect(flow)\n";
@@ -245,8 +219,10 @@ TEST(PredicateTest, MatchesFields) {
   PacketRecord pkt;
   pkt.tuple = {1, 2, 100, 443, kProtoTcp};
   pkt.wire_bytes = 1000;
-  EXPECT_TRUE(FilterExpr::TcpOnly().Matches(pkt));
-  EXPECT_FALSE(FilterExpr::UdpOnly().Matches(pkt));
+  const FilterExpr tcp_only{{Predicate{PredField::kProtocol, PredOp::kEq, kProtoTcp}}};
+  const FilterExpr udp_only{{Predicate{PredField::kProtocol, PredOp::kEq, kProtoUdp}}};
+  EXPECT_TRUE(tcp_only.Matches(pkt));
+  EXPECT_FALSE(udp_only.Matches(pkt));
   FilterExpr expr{{Predicate{PredField::kDstPort, PredOp::kEq, 443},
                    Predicate{PredField::kSize, PredOp::kGe, 1000}}};
   EXPECT_TRUE(expr.Matches(pkt));

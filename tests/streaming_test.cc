@@ -10,7 +10,6 @@
 #include "streaming/hyperloglog.h"
 #include "streaming/moments.h"
 #include "streaming/naive.h"
-#include "streaming/reservoir.h"
 #include "streaming/welford.h"
 
 namespace superfe {
@@ -246,19 +245,6 @@ TEST(HllTest, DuplicatesDoNotInflate) {
   EXPECT_NEAR(hll.Estimate(), 50.0, 10.0);
 }
 
-TEST(HllTest, MergeEqualsUnion) {
-  HyperLogLog a(10);
-  HyperLogLog b(10);
-  for (uint64_t v = 0; v < 3000; ++v) {
-    a.AddU64(v);
-  }
-  for (uint64_t v = 2000; v < 5000; ++v) {
-    b.AddU64(v);
-  }
-  a.Merge(b);
-  EXPECT_NEAR(a.Estimate(), 5000.0, 400.0);
-}
-
 TEST(HllTest, SmallMemoryFootprint) {
   HyperLogLog hll(6);
   EXPECT_EQ(hll.StateBytes(), 64u);  // The §6.1 per-group budget.
@@ -302,59 +288,6 @@ TEST(FixedHistogramTest, CdfMonotoneEndsAtOne) {
   EXPECT_NEAR(cdf.back(), 1.0, 1e-9);
 }
 
-TEST(FixedHistogramTest, QuantileApproximatesUniform) {
-  FixedHistogram hist(10.0, 100);
-  Rng rng(11);
-  for (int i = 0; i < 100000; ++i) {
-    hist.Add(rng.UniformDouble(0, 1000));
-  }
-  EXPECT_NEAR(hist.Quantile(0.5), 500.0, 20.0);
-  EXPECT_NEAR(hist.Quantile(0.9), 900.0, 20.0);
-}
-
-TEST(FixedHistogramTest, PercentileOf) {
-  FixedHistogram hist(1.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    hist.Add(i + 0.5);
-  }
-  EXPECT_NEAR(hist.PercentileOf(5.0), 0.5, 1e-9);
-}
-
-TEST(VariableHistogramTest, CalibratedBucketsEqualProbability) {
-  Rng rng(12);
-  std::vector<double> calibration(20000);
-  for (auto& v : calibration) {
-    v = rng.LogNormal(3.0, 1.5);  // Skewed data.
-  }
-  auto hist = VariableHistogram::FromCalibration(calibration, 10);
-  Rng rng2(13);
-  for (int i = 0; i < 50000; ++i) {
-    hist.Add(rng2.LogNormal(3.0, 1.5));
-  }
-  // Every bucket should hold roughly 10% of the mass.
-  for (double p : hist.Pdf()) {
-    EXPECT_NEAR(p, 0.1, 0.035);
-  }
-}
-
-TEST(VariableHistogramTest, QuantileOnSkewedData) {
-  Rng rng(14);
-  std::vector<double> calibration(20000);
-  for (auto& v : calibration) {
-    v = rng.LogNormal(3.0, 1.0);
-  }
-  auto hist = VariableHistogram::FromCalibration(calibration, 64);
-  std::vector<double> data(50000);
-  Rng rng2(15);
-  for (auto& v : data) {
-    v = rng2.LogNormal(3.0, 1.0);
-    hist.Add(v);
-  }
-  const double est = hist.Quantile(0.5);
-  const double exact = Quantile(data, 0.5);
-  EXPECT_LT(RelativeError(est, exact), 0.1);
-}
-
 TEST(MomentsTest, MatchExactSkewKurtosis) {
   Rng rng(16);
   std::vector<double> xs(50000);
@@ -379,47 +312,6 @@ TEST(MomentsTest, NormalHasKurtosisThree) {
   }
   EXPECT_NEAR(m.kurtosis(), 3.0, 0.1);
   EXPECT_NEAR(m.skewness(), 0.0, 0.05);
-}
-
-TEST(CovarianceTest, MatchesExact) {
-  Rng rng(18);
-  std::vector<double> xs(10000);
-  std::vector<double> ys(10000);
-  StreamingCovariance cov;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.UniformDouble(0, 10);
-    ys[i] = 2.0 * xs[i] + rng.Normal(0.0, 1.0);
-    cov.Add(xs[i], ys[i]);
-  }
-  EXPECT_NEAR(cov.covariance(), Covariance(xs, ys), 1e-6);
-  EXPECT_NEAR(cov.correlation(), PearsonCorrelation(xs, ys), 1e-9);
-}
-
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {
-  ReservoirSample<int> sample(10, 1);
-  for (int i = 0; i < 5; ++i) {
-    sample.Add(i);
-  }
-  EXPECT_EQ(sample.sample().size(), 5u);
-}
-
-TEST(ReservoirTest, UniformInclusionProbability) {
-  // Each of 1000 items should appear with ~10/1000 probability; check the
-  // aggregate count of "early" items is unbiased.
-  int early_total = 0;
-  for (uint64_t seed = 0; seed < 300; ++seed) {
-    ReservoirSample<int> sample(10, seed);
-    for (int i = 0; i < 1000; ++i) {
-      sample.Add(i);
-    }
-    for (int v : sample.sample()) {
-      if (v < 500) {
-        ++early_total;
-      }
-    }
-  }
-  // Expected: 300 runs * 10 slots * 0.5 = 1500.
-  EXPECT_NEAR(early_total, 1500, 150);
 }
 
 TEST(NaiveTest, MatchesStreamingResults) {

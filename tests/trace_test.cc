@@ -227,7 +227,7 @@ TEST(PcapTest, RoundTrip) {
   const std::string path = ::testing::TempDir() + "/superfe_roundtrip.pcap";
   ASSERT_TRUE(WritePcap(path, original).ok());
 
-  auto loaded = ReadPcap(path);
+  auto loaded = ReadPcap(path, nullptr);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -254,7 +254,7 @@ TEST(PcapTest, DirectionReconstructedFromFirstSeen) {
 
   const std::string path = ::testing::TempDir() + "/superfe_dir.pcap";
   ASSERT_TRUE(WritePcap(path, trace).ok());
-  auto loaded = ReadPcap(path);
+  auto loaded = ReadPcap(path, nullptr);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 2u);
   EXPECT_EQ(loaded->packets()[0].direction, Direction::kForward);
@@ -263,7 +263,7 @@ TEST(PcapTest, DirectionReconstructedFromFirstSeen) {
 }
 
 TEST(PcapTest, MissingFileFails) {
-  auto loaded = ReadPcap("/nonexistent/superfe.pcap");
+  auto loaded = ReadPcap("/nonexistent/superfe.pcap", nullptr);
   EXPECT_FALSE(loaded.ok());
 }
 

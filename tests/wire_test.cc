@@ -80,6 +80,21 @@ TEST(WireTest, OddLengthChecksum) {
   EXPECT_EQ(InternetChecksum(data, sizeof(data)), 0xfbfd);
 }
 
+TEST(WireOptionsTest, ParsesIpv4WithOptions) {
+  // Hand-build a frame with IHL = 6 (one option word).
+  PacketRecord pkt;
+  pkt.tuple = {MakeIp(1, 1, 1, 1), MakeIp(2, 2, 2, 2), 10, 20, kProtoTcp};
+  pkt.wire_bytes = 80;
+  auto frame = EncodeFrame(pkt);
+  // Widen the IP header: shift the TCP header right by 4 bytes.
+  frame.insert(frame.begin() + kEthHeaderLen + kIpv4MinHeaderLen, {0x01, 0x01, 0x01, 0x01});
+  frame[kEthHeaderLen] = 0x46;  // Version 4, IHL 6.
+  auto parsed = ParseFrame(frame.data(), frame.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tuple.src_port, 10);
+  EXPECT_EQ(parsed->tuple.dst_port, 20);
+}
+
 TEST(FiveTupleTest, CanonicalIsOrientationInvariant) {
   FiveTuple t{MakeIp(1, 2, 3, 4), MakeIp(5, 6, 7, 8), 1000, 80, kProtoTcp};
   EXPECT_EQ(t.Canonical(), t.Reversed().Canonical());
@@ -107,18 +122,6 @@ TEST(FiveTupleTest, ToBytesLayout) {
 
 TEST(FiveTupleTest, IpToStringDotted) {
   EXPECT_EQ(IpToString(MakeIp(192, 168, 1, 20)), "192.168.1.20");
-}
-
-TEST(PacketRecordTest, ChannelKeySymmetric) {
-  PacketRecord a;
-  a.tuple = {10, 20, 1, 2, kProtoTcp};
-  a.direction = Direction::kForward;
-  PacketRecord b;
-  b.tuple = a.tuple.Reversed();
-  b.direction = Direction::kBackward;
-  EXPECT_EQ(a.ChannelKey(), b.ChannelKey());
-  EXPECT_EQ(a.HostKey(), b.HostKey());
-  EXPECT_EQ(a.HostKey(), 10u);  // The initiator's IP, from either direction.
 }
 
 TEST(PacketRecordTest, DirectionSign) {

@@ -84,8 +84,6 @@ int Usage() {
                "                   [--watchdog-ms N]      worker stall watchdog timeout\n"
                "                   [--no-batch-kernels]   per-cell scalar execution (skip\n"
                "                                          the SoA batch feature kernels)\n"
-               "                   [--compensated-batch]  Neumaier-compensated batch sums\n"
-               "                                          for double-valued reducers\n"
                "                   [--daemon]             continuous operation: streaming\n"
                "                                          ingest + rolling MGPV epochs +\n"
                "                                          SIGTERM/SIGINT graceful drain\n"
@@ -307,7 +305,6 @@ int main(int argc, char** argv) {
   uint64_t flush_timeout_ms = 0;
   uint32_t watchdog_ms = 0;
   bool no_batch_kernels = false;
-  bool compensated_batch = false;
   bool daemon_mode = false;
   uint64_t loop = 1;
   std::string listen_spec;
@@ -364,8 +361,6 @@ int main(int argc, char** argv) {
       watchdog_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--no-batch-kernels") == 0) {
       no_batch_kernels = true;
-    } else if (std::strcmp(argv[i], "--compensated-batch") == 0) {
-      compensated_batch = true;
     } else if (std::strcmp(argv[i], "--daemon") == 0) {
       daemon_mode = true;
     } else if (std::strcmp(argv[i], "--loop") == 0 && i + 1 < argc) {
@@ -483,7 +478,6 @@ int main(int argc, char** argv) {
     config.fault.plan = std::move(plan).value();
   }
   config.nic.batch_kernels = !no_batch_kernels;
-  config.nic.exec.compensated_batch = compensated_batch;
   config.fault.flush_timeout_ms = flush_timeout_ms;
   if (watchdog_ms > 0) {
     // Poll a few times per timeout so a stall is caught promptly.
