@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "streaming/batch.h"
-#include "streaming/damped.h"
 #include "streaming/histogram.h"
 #include "streaming/hyperloglog.h"
 #include "streaming/moments.h"
@@ -97,16 +96,10 @@ Measurement Measure(const char* kernel, size_t batch, ScalarF&& scalar_fn,
 
 std::vector<Measurement> RunAll() {
   Rng rng(42);
-  std::vector<double> sizes(4096);   // Packet-size-like values.
-  std::vector<double> times(4096);   // Monotone seconds (for damped EWMA).
-  std::vector<int64_t> sizes_i(4096);
+  std::vector<double> sizes(4096);  // Packet-size-like values.
   std::vector<uint64_t> flows(4096);
-  double t = 0.0;
   for (size_t i = 0; i < sizes.size(); ++i) {
     sizes[i] = rng.UniformDouble(40.0, 1500.0);
-    t += rng.Exponential(10000.0);
-    times[i] = t;
-    sizes_i[i] = static_cast<int64_t>(sizes[i]);
     flows[i] = rng.NextU64();
   }
   std::vector<int32_t> buckets(4096);
@@ -115,7 +108,6 @@ std::vector<Measurement> RunAll() {
   std::vector<Measurement> out;
   for (const size_t batch : kBatchSizes) {
     const double* v = sizes.data();
-    const double* ts = times.data();
 
     {  // Plain 4-lane sum vs a sequential accumulate.
       double acc = 0.0;
@@ -164,36 +156,6 @@ std::vector<Measurement> RunAll() {
           },
           [&](size_t reps) {
             for (size_t r = 0; r < reps; ++r) b.AddBatch(v, batch);
-            Keep(b);
-          }));
-    }
-    {
-      NicWelfordStats a, b;
-      out.push_back(Measure(
-          "welford_nic", batch,
-          [&](size_t reps) {
-            for (size_t r = 0; r < reps; ++r) {
-              for (size_t i = 0; i < batch; ++i) a.Add(sizes_i[i]);
-            }
-            Keep(a);
-          },
-          [&](size_t reps) {
-            for (size_t r = 0; r < reps; ++r) b.AddBatch(sizes_i.data(), batch);
-            Keep(b);
-          }));
-    }
-    {
-      DampedStats a(1.0, DampedMode::kNicFixedPoint), b(1.0, DampedMode::kNicFixedPoint);
-      out.push_back(Measure(
-          "damped_fixed", batch,
-          [&](size_t reps) {
-            for (size_t r = 0; r < reps; ++r) {
-              for (size_t i = 0; i < batch; ++i) a.Add(v[i], ts[i]);
-            }
-            Keep(a);
-          },
-          [&](size_t reps) {
-            for (size_t r = 0; r < reps; ++r) b.AddBatch(v, ts, batch);
             Keep(b);
           }));
     }

@@ -31,6 +31,24 @@ void LogHist::AddBatch(const double* v, size_t n) {
   }
 }
 
+// The q-quantile estimate: the geometric midpoint of the first bucket whose
+// cumulative count reaches q of the total.
+double Percentile(const LogHist& hist, double q) {
+  if (hist.total == 0) {
+    return 0.0;
+  }
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(hist.total);
+  double cumulative = 0.0;
+  for (size_t b = 0; b < hist.buckets.size(); ++b) {
+    cumulative += hist.buckets[b];
+    if (cumulative >= target) {
+      // Bucket b covers [2^(b-1), 2^b); report its geometric midpoint.
+      return b == 0 ? 0.5 : std::exp2(static_cast<double>(b) - 0.5);
+    }
+  }
+  return 0.0;
+}
+
 }  // namespace exec_internal
 
 namespace {
@@ -172,6 +190,14 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
   if (n == 0) {
     return;
   }
+  // Damped states on their own clocks take the rows one by one;
+  // UpdateGroupBatch drives damped owners through their windows instead.
+  const auto update_rows = [&] {
+    for (size_t i = 0; i < n; ++i) {
+      Update(values[i], t_seconds[i],
+             dir_sign[i] >= 0.0 ? Direction::kForward : Direction::kBackward);
+    }
+  };
   std::visit(
       Overloaded{
           [&](exec_internal::SumAgg& agg) { agg.sum += batchkern::Sum(values, n); },
@@ -188,8 +214,8 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
           },
           [&](WelfordStats& w) { w.AddBatch(values, n); },
           [&](NicWelfordStats& w) { w.AddBatchRounded(values, n); },
-          [&](DampedStats& damped) { damped.AddBatch(values, t_seconds, n); },
-          [&](DampedStats2D& two_sided) { two_sided.AddBatch(values, t_seconds, dir_sign, n); },
+          [&](DampedStats&) { update_rows(); },
+          [&](DampedStats2D&) { update_rows(); },
           [&](StreamingMoments& moments) { moments.AddBatch(values, n); },
           [&](HyperLogLog& hll) {
             if (scratch_u64.size() < n) {
@@ -211,119 +237,142 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
       impl_);
 }
 
-const DampedStats& Reducer::DampedSide(Direction dir) const {
-  if (const auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
-    return dir == Direction::kForward ? two_sided->a() : two_sided->b();
-  }
-  return std::get<DampedStats>(impl_);
+void Reducer::EmitAs(const ReduceSpec& spec, std::vector<double>& out, Direction dir) const {
+  const EmitOp op{.fn = spec.fn, .q = spec.param0, .width = OutputWidth(spec)};
+  const size_t begin = out.size();
+  out.resize(begin + op.width, 0.0);
+  EmitOps(&op, 1, dir, out.data() + begin);
 }
 
-void Reducer::EmitAs(const ReduceSpec& spec, std::vector<double>& out, Direction dir) const {
-  switch (spec.fn) {
-    case ReduceFn::kSum:
-      if (const auto* agg = std::get_if<exec_internal::SumAgg>(&impl_)) {
-        out.push_back(agg->sum);
-      } else {
-        out.push_back(DampedSide(dir).linear_sum());
-      }
-      break;
-    case ReduceFn::kMax:
-      out.push_back(std::get<exec_internal::MinMaxAgg>(impl_).max);
-      break;
-    case ReduceFn::kMin:
-      out.push_back(std::get<exec_internal::MinMaxAgg>(impl_).min);
-      break;
-    case ReduceFn::kMean:
-    case ReduceFn::kVar:
-    case ReduceFn::kStd: {
-      double mean = 0.0;
-      double var = 0.0;
-      if (const auto* nicw = std::get_if<NicWelfordStats>(&impl_)) {
-        mean = nicw->mean();
-        var = nicw->variance();
-      } else if (const auto* w = std::get_if<WelfordStats>(&impl_)) {
-        mean = w->mean();
-        var = w->variance();
-      } else {
-        const DampedStats& side = DampedSide(dir);
-        mean = side.mean();
-        var = side.variance();
-      }
-      if (spec.fn == ReduceFn::kMean) {
-        out.push_back(mean);
-      } else if (spec.fn == ReduceFn::kVar) {
-        out.push_back(var);
-      } else {
-        out.push_back(std::sqrt(var));
-      }
-      break;
-    }
-    case ReduceFn::kKur:
-      out.push_back(std::get<StreamingMoments>(impl_).kurtosis());
-      break;
-    case ReduceFn::kSkew:
-      out.push_back(std::get<StreamingMoments>(impl_).skewness());
-      break;
-    case ReduceFn::kMag:
-      out.push_back(std::get<DampedStats2D>(impl_).Magnitude());
-      break;
-    case ReduceFn::kRadius:
-      out.push_back(std::get<DampedStats2D>(impl_).Radius());
-      break;
-    case ReduceFn::kCov:
-      out.push_back(std::get<DampedStats2D>(impl_).Covariance());
-      break;
-    case ReduceFn::kPcc:
-      out.push_back(std::get<DampedStats2D>(impl_).CorrelationCoefficient());
-      break;
-    case ReduceFn::kCard:
-      out.push_back(std::get<HyperLogLog>(impl_).Estimate());
-      break;
-    case ReduceFn::kArray: {
-      const auto& agg = std::get<exec_internal::ArrayAgg>(impl_);
-      out.insert(out.end(), agg.values.begin(), agg.values.end());
-      out.resize(out.size() + (agg.limit - agg.values.size()), 0.0);  // Fixed-width padding.
-      break;
-    }
-    case ReduceFn::kHist: {
-      const auto& hist = std::get<FixedHistogram>(impl_);
-      for (int b = 0; b < hist.bins(); ++b) {
-        out.push_back(static_cast<double>(hist.count(b)));
-      }
-      break;
-    }
-    case ReduceFn::kPdf: {
-      const std::vector<double> pdf = std::get<FixedHistogram>(impl_).Pdf();
-      out.insert(out.end(), pdf.begin(), pdf.end());
-      break;
-    }
-    case ReduceFn::kCdf: {
-      const std::vector<double> cdf = std::get<FixedHistogram>(impl_).Cdf();
-      out.insert(out.end(), cdf.begin(), cdf.end());
-      break;
-    }
-    case ReduceFn::kPercent: {
-      const auto& hist = std::get<exec_internal::LogHist>(impl_);
-      const double q = std::clamp(spec.param0, 0.0, 1.0);
-      if (hist.total == 0) {
-        out.push_back(0.0);
-        break;
-      }
-      const double target = q * static_cast<double>(hist.total);
-      double cumulative = 0.0;
-      double estimate = 0.0;
-      for (size_t b = 0; b < hist.buckets.size(); ++b) {
-        cumulative += hist.buckets[b];
-        if (cumulative >= target) {
-          // Bucket b covers [2^(b-1), 2^b); report its geometric midpoint.
-          estimate = b == 0 ? 0.5 : std::exp2(static_cast<double>(b) - 0.5);
+void Reducer::EmitOps(const EmitOp* ops, size_t n, Direction dir, double* out) const {
+  // Mean, variance and standard deviation of a Welford or one-sided damped
+  // state, for its mean/var/std (and damped sum) ops.
+  const auto write_moments = [&](double mean, double var, double sum) {
+    for (size_t i = 0; i < n; ++i) {
+      double& value = out[ops[i].offset];
+      switch (ops[i].fn) {
+        case ReduceFn::kSum:
+          value = sum;
           break;
-        }
+        case ReduceFn::kMean:
+          value = mean;
+          break;
+        case ReduceFn::kVar:
+          value = var;
+          break;
+        default:  // kStd.
+          value = std::sqrt(var);
+          break;
       }
-      out.push_back(estimate);
-      break;
     }
-  }
+  };
+  // A multi-value op: the values, cut to its width.
+  const auto write_values = [&](const EmitOp& op, const std::vector<double>& values) {
+    std::copy_n(values.begin(), std::min<size_t>(values.size(), op.width), out + op.offset);
+  };
+  std::visit(
+      Overloaded{
+          [&](const exec_internal::SumAgg& agg) {
+            for (size_t i = 0; i < n; ++i) {
+              out[ops[i].offset] = agg.sum;
+            }
+          },
+          [&](const exec_internal::MinMaxAgg& agg) {
+            for (size_t i = 0; i < n; ++i) {
+              out[ops[i].offset] = ops[i].fn == ReduceFn::kMax ? agg.max : agg.min;
+            }
+          },
+          [&](const WelfordStats& w) { write_moments(w.mean(), w.variance(), 0.0); },
+          [&](const NicWelfordStats& w) { write_moments(w.mean(), w.variance(), 0.0); },
+          [&](const DampedStats& damped) {
+            write_moments(damped.mean(), damped.variance(), damped.linear_sum());
+          },
+          [&](const DampedStats2D& two_sided) {
+            const DampedStats* side[2] = {&two_sided.a(), &two_sided.b()};
+            const int own = dir == Direction::kForward ? 0 : 1;
+            double var[2] = {0.0, 0.0};
+            double stddev[2] = {0.0, 0.0};
+            bool moments = false;
+            const auto side_moments = [&] {
+              if (!moments) {
+                for (int s = 0; s < 2; ++s) {
+                  var[s] = side[s]->variance();
+                  stddev[s] = std::sqrt(var[s]);
+                }
+                moments = true;
+              }
+            };
+            for (size_t i = 0; i < n; ++i) {
+              double& value = out[ops[i].offset];
+              switch (ops[i].fn) {
+                case ReduceFn::kSum:
+                  value = side[own]->linear_sum();
+                  break;
+                case ReduceFn::kMean:
+                  value = side[own]->mean();
+                  break;
+                case ReduceFn::kVar:
+                  side_moments();
+                  value = var[own];
+                  break;
+                case ReduceFn::kStd:
+                  side_moments();
+                  value = stddev[own];
+                  break;
+                case ReduceFn::kMag:
+                  value = DampedStats2D::MagnitudeOf(side[0]->mean(), side[1]->mean());
+                  break;
+                case ReduceFn::kRadius:
+                  side_moments();
+                  value = DampedStats2D::RadiusOf(var[0], var[1]);
+                  break;
+                case ReduceFn::kCov:
+                  value = two_sided.Covariance();
+                  break;
+                default:  // kPcc.
+                  side_moments();
+                  value = DampedStats2D::CorrelationOf(two_sided.Covariance(), stddev[0],
+                                                       stddev[1]);
+                  break;
+              }
+            }
+          },
+          [&](const StreamingMoments& moments) {
+            for (size_t i = 0; i < n; ++i) {
+              out[ops[i].offset] =
+                  ops[i].fn == ReduceFn::kKur ? moments.kurtosis() : moments.skewness();
+            }
+          },
+          [&](const HyperLogLog& hll) {
+            for (size_t i = 0; i < n; ++i) {
+              out[ops[i].offset] = hll.Estimate();
+            }
+          },
+          [&](const exec_internal::LogHist& hist) {
+            for (size_t i = 0; i < n; ++i) {
+              out[ops[i].offset] = exec_internal::Percentile(hist, ops[i].q);
+            }
+          },
+          [&](const exec_internal::ArrayAgg& agg) {
+            for (size_t i = 0; i < n; ++i) {
+              write_values(ops[i], agg.values);
+            }
+          },
+          [&](const FixedHistogram& hist) {
+            for (size_t i = 0; i < n; ++i) {
+              const EmitOp& op = ops[i];
+              if (op.fn == ReduceFn::kHist) {
+                const int bins = std::min<int>(hist.bins(), static_cast<int>(op.width));
+                for (int b = 0; b < bins; ++b) {
+                  out[op.offset + b] = static_cast<double>(hist.count(b));
+                }
+              } else {
+                write_values(op, op.fn == ReduceFn::kPdf ? hist.Pdf() : hist.Cdf());
+              }
+            }
+          },
+      },
+      impl_);
 }
 
 std::vector<double> ApplySynth(const SynthStep& step, std::vector<double> values) {
@@ -450,8 +499,33 @@ Result<ExecPlan> ExecPlan::FromProgram(const NicProgram& program) {
         gp.owners.push_back(ReduceStep{it->second, slot.spec});
       }
       gp.slots.push_back(slot);
-      gp.owner_of.push_back(owner->second);
+      const EmitOp op{.owner = owner->second,
+                      .slot = static_cast<uint32_t>(gp.slots.size() - 1),
+                      .fn = slot.spec.fn,
+                      .q = slot.spec.param0,
+                      .offset = gp.width,
+                      .width = slot.Width()};
+      (slot.synths.empty() ? gp.emit_ops : gp.synthesized_ops).push_back(op);
       gp.width += slot.Width();
+    }
+    std::stable_sort(gp.emit_ops.begin(), gp.emit_ops.end(),
+                     [](const EmitOp& a, const EmitOp& b) { return a.owner < b.owner; });
+    // Damped windows: the damped owners grouped by λ.
+    for (uint32_t i = 0; i < gp.owners.size(); ++i) {
+      const StateFamily family = Reducer::Family(gp.owners[i].spec, directional);
+      if (family != StateFamily::kDamped1D && family != StateFamily::kDamped2D) {
+        gp.undamped.push_back(i);
+        continue;
+      }
+      const double lambda = gp.owners[i].spec.decay_lambda;
+      auto window = std::find_if(gp.windows.begin(), gp.windows.end(),
+                                 [&](const DampedWindowPlan& w) { return w.lambda == lambda; });
+      if (window == gp.windows.end()) {
+        window = gp.windows.insert(gp.windows.end(), DampedWindowPlan{});
+        window->lambda = lambda;
+      }
+      (family == StateFamily::kDamped1D ? window->one_sided : window->two_sided) = true;
+      window->owners.push_back(i);
     }
     plan.width += gp.width;
     plan.per_granularity.push_back(std::move(gp));
@@ -625,8 +699,33 @@ GroupState GroupState::Make(const ExecPlan& plan, size_t gi, const ExecOptions& 
   for (const auto& r : gp.owners) {
     state.reducers.emplace_back(r.spec, options, directional);
   }
+  state.damped_mode = options.EffectiveDampedMode();
+  state.windows.resize(gp.windows.size());
   return state;
 }
+
+namespace {
+
+// Feeds one sample at t_seconds to every damped window of the group: each
+// window computes its step once, and each of its states applies it.
+// value_of(owner) is the owner's source value for this sample.
+template <typename ValueOf>
+void UpdateWindows(const ExecPlan::GranularityPlan& gp, GroupState& group, double t_seconds,
+                   Direction dir, const ValueOf& value_of) {
+  const bool forward = dir == Direction::kForward;
+  for (size_t w = 0; w < gp.windows.size(); ++w) {
+    const ExecPlan::DampedWindowPlan& window = gp.windows[w];
+    const DampedStep step =
+        group.windows[w].Advance(window.lambda, group.damped_mode, window.one_sided,
+                                 window.two_sided, group.damped_clock, t_seconds, forward);
+    for (uint32_t owner : window.owners) {
+      group.reducers[owner].ApplyDamped(value_of(owner), step);
+    }
+  }
+  group.damped_clock.Advance(t_seconds);
+}
+
+}  // namespace
 
 void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvCell& cell) {
   const double t_ns = static_cast<double>(cell.full_timestamp_ns);
@@ -672,10 +771,12 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
     fields[m.dst] = dst;
   }
 
-  const auto& owners = plan.per_granularity[gi].owners;
-  for (size_t i = 0; i < owners.size(); ++i) {
-    group.reducers[i].Update(fields[owners[i].src], t_seconds, cell.direction);
+  const auto& gp = plan.per_granularity[gi];
+  for (uint32_t i : gp.undamped) {
+    group.reducers[i].Update(fields[gp.owners[i].src], t_seconds, cell.direction);
   }
+  UpdateWindows(gp, group, t_seconds, cell.direction,
+                [&](uint32_t owner) { return fields[gp.owners[owner].src]; });
 
   last_ts = t_ns;
   group.last_dir = dir_sign;
@@ -764,12 +865,20 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
     group.last_dir = dir_sign;
   }
 
-  // Each owner state consumes its source column as one bulk call.
+  // Each undamped owner consumes its source column as one bulk call; the
+  // damped windows, whose decays follow consecutive timestamps, go row by
+  // row.
   const double* ts = soa.t_seconds.data() + begin;
   const double* dirs = soa.dir_sign.data() + begin;
-  for (size_t i = 0; i < gp.owners.size(); ++i) {
+  for (uint32_t i : gp.undamped) {
     group.reducers[i].UpdateBatch(col[gp.owners[i].src] + begin, ts, dirs, n,
                                   soa.scratch_u64);
+  }
+  if (!gp.windows.empty()) {
+    for (size_t r = begin; r < end; ++r) {
+      UpdateWindows(gp, group, soa.t_seconds[r], soa.direction[r],
+                    [&](uint32_t owner) { return col[gp.owners[owner].src][r]; });
+    }
   }
 
   group.packets += n;
@@ -782,22 +891,28 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
 void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
                        std::vector<double>& out) {
   const auto& gp = plan.per_granularity[gi];
-  for (size_t i = 0; i < gp.slots.size(); ++i) {
-    const FeatureSlot& slot = gp.slots[i];
-    const Reducer& owner = group.reducers[gp.owner_of[i]];
-    const size_t begin = out.size();
-    if (slot.synths.empty()) {
-      owner.EmitAs(slot.spec, out, group.last_direction);
-    } else {
-      std::vector<double> block;
-      owner.EmitAs(slot.spec, block, group.last_direction);
-      for (const auto& step : slot.synths) {
-        block = ApplySynth(step, std::move(block));
-      }
-      out.insert(out.end(), block.begin(), block.end());
+  const size_t begin = out.size();
+  out.resize(begin + gp.width, 0.0);  // Short blocks stay zero-padded.
+  double* block = out.data() + begin;
+  const std::vector<EmitOp>& ops = gp.emit_ops;
+  for (size_t i = 0; i < ops.size();) {
+    size_t j = i + 1;
+    while (j < ops.size() && ops[j].owner == ops[i].owner) {
+      ++j;
     }
-    // Fixed layout: pad/truncate to the slot's declared width.
-    out.resize(begin + slot.Width(), 0.0);
+    group.reducers[ops[i].owner].EmitOps(&ops[i], j - i, group.last_direction, block);
+    i = j;
+  }
+  // Synthesized slots: the raw values through the slot's synthesize chain,
+  // cut to the slot's width.
+  for (const EmitOp& op : gp.synthesized_ops) {
+    const FeatureSlot& slot = gp.slots[op.slot];
+    std::vector<double> values;
+    group.reducers[op.owner].EmitAs(slot.spec, values, group.last_direction);
+    for (const auto& step : slot.synths) {
+      values = ApplySynth(step, std::move(values));
+    }
+    std::copy_n(values.begin(), std::min<size_t>(values.size(), op.width), block + op.offset);
   }
 }
 

@@ -93,6 +93,22 @@ enum class StateFamily : uint8_t {
   kPercent,    // ft_percent (one log histogram serves every q).
 };
 
+// A collected feature compiled to one write: the statistic `fn` of the state
+// `owner` goes to `offset` of its granularity's block, `width` values wide
+// (f_array, ft_hist, f_pdf and f_cdf are multi-value; a short f_array leaves
+// zeros). Side rule: the side statistics (sum, mean, var, std) of a
+// two-sided damped state read the emitting packet's side; those of a
+// one-sided one read the state. A synthesized slot's op emits the raw values
+// through its synthesize chain instead. docs/ARCHITECTURE.md, "Emit ops".
+struct EmitOp {
+  uint32_t owner = 0;
+  uint32_t slot = 0;  // Index into the granularity's slots.
+  ReduceFn fn = ReduceFn::kSum;
+  double q = 0.0;  // ft_percent's quantile.
+  uint32_t offset = 0;
+  uint32_t width = 1;
+};
+
 // One per-group state of a reducing-function family.
 //
 // At direction-recording granularities (host/channel/socket, Table 5) the
@@ -122,24 +138,34 @@ class Reducer {
                    const double* dir_sign, size_t n,
                    std::vector<uint64_t>& scratch_u64);
 
+  // Window route for a damped state (UpdateGroup, UpdateGroupBatch): applies
+  // the step its window computed for this sample.
+  void ApplyDamped(double value, const DampedStep& step) {
+    if (auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
+      two_sided->Apply(value, step);
+    } else {
+      std::get_if<DampedStats>(&impl_)->Apply(value, step);
+    }
+  }
+
+  // Writes the n ops, all reading this state, at their offsets of `out`
+  // (zero-filled by the caller); `dir` is the emitting packet's side, which
+  // selects the side of directional statistics. The state is visited once,
+  // and a damped state's side variances and standard deviations are
+  // computed once for all the ops.
+  void EmitOps(const EmitOp* ops, size_t n, Direction dir, double* out) const;
+
   // Appends the OutputWidth(spec) feature values of `spec`, any member of
-  // this state's family. `dir` selects the side of directional statistics
-  // (the emitting packet's direction).
+  // this state's family: EmitOps with one op.
   void EmitAs(const ReduceSpec& spec, std::vector<double>& out,
               Direction dir = Direction::kForward) const;
 
-  // EmitAs(spec()).
+  // EmitAs of the spec this state was built from.
   void Emit(std::vector<double>& out, Direction dir = Direction::kForward) const {
     EmitAs(spec_, out, dir);
   }
 
-  const ReduceSpec& spec() const { return spec_; }
-
  private:
-  // The 1D damped statistics a damped sum/mean/var/std reads: the state
-  // itself, or the `dir` side of a directional two-sided state.
-  const DampedStats& DampedSide(Direction dir) const;
-
   ReduceSpec spec_;
   std::variant<exec_internal::SumAgg, exec_internal::MinMaxAgg, WelfordStats, NicWelfordStats,
                DampedStats, StreamingMoments, DampedStats2D, HyperLogLog,
@@ -172,6 +198,16 @@ struct ExecPlan {
     int src = 0;
     ReduceSpec spec;  // The first member's spec; builds the state.
   };
+  // The damped owners of one granularity that share a λ. Every owner of a
+  // granularity sees every cell of its group, so they share the group clock,
+  // and those with one λ share the decay factors and each side's weight
+  // (docs/ARCHITECTURE.md, "Damped windows").
+  struct DampedWindowPlan {
+    double lambda = 0.0;
+    bool one_sided = false;        // Holds a 1D state (the undirected weight).
+    bool two_sided = false;        // Holds a 2D state (the A and B weights).
+    std::vector<uint32_t> owners;  // Indices into owners.
+  };
   struct GranularityPlan {
     Granularity granularity = Granularity::kFlow;
     // Owner table: one state per distinct (source field, state family, λ,
@@ -179,8 +215,13 @@ struct ExecPlan {
     // parallel to it.
     std::vector<ReduceStep> owners;
     std::vector<FeatureSlot> slots;  // Collected features, layout order.
-    std::vector<uint32_t> owner_of;  // Parallel to slots: index into owners.
     uint32_t width = 0;              // Sum of the slots' widths.
+    std::vector<DampedWindowPlan> windows;  // In first-use order of λ.
+    std::vector<uint32_t> undamped;         // Owners in no window.
+    // One per unsynthesized slot, grouped by owner (an owner's ops are
+    // contiguous); then one per synthesized slot, in layout order.
+    std::vector<EmitOp> emit_ops;
+    std::vector<EmitOp> synthesized_ops;
   };
 
   int field_count = 4;
@@ -267,6 +308,11 @@ struct GroupState {
   double burst_len = 0.0;
 
   std::vector<Reducer> reducers;  // Parallel to the granularity plan's owners.
+  // The damped windows' shared state: one clock for the group, one set of
+  // side weights per window (parallel to the plan's windows).
+  DampedClock damped_clock;
+  DampedMode damped_mode = DampedMode::kExactDouble;
+  std::vector<DampedWindow> windows;
 
   // Bookkeeping for emission.
   uint64_t packets = 0;
@@ -289,8 +335,10 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
 void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
                       PacketBatchSoA& soa, size_t begin, size_t end);
 
-// Emits the group's feature block for granularity index `gi`: every slot
-// from its owner state, synthesize chains applied, appended to `out`.
+// Emits the group's feature block for granularity index `gi` through the
+// plan's emit ops: every slot from its owner state, synthesize chains
+// applied, appended to `out` (grown once, then written at the ops'
+// offsets).
 void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
                        std::vector<double>& out);
 

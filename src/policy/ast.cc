@@ -1,6 +1,7 @@
 #include "policy/ast.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -236,6 +237,10 @@ const char* ReduceFnName(ReduceFn fn) {
 bool IsBidirectional(ReduceFn fn) {
   return fn == ReduceFn::kMag || fn == ReduceFn::kRadius || fn == ReduceFn::kCov ||
          fn == ReduceFn::kPcc;
+}
+
+bool IsSlotWidth(double v) {
+  return v >= 1.0 && v <= kMaxSlotWidth && std::trunc(v) == v;
 }
 
 bool IsHistogramBased(ReduceFn fn) {

@@ -109,13 +109,22 @@ bool IsBidirectional(ReduceFn fn);
 // True for histogram-backed functions that need width/bins parameters.
 bool IsHistogramBased(ReduceFn fn);
 
+// The widest feature slot a policy may declare: ft_hist/f_pdf/f_cdf bins,
+// f_array limits and ft_sample lengths are integers in [1, kMaxSlotWidth]
+// (docs/POLICY_GUIDE.md). The widest shipped slot is 5,000 values.
+constexpr uint32_t kMaxSlotWidth = 65536;
+
+// True when v is an integer in [1, kMaxSlotWidth]: a width that converts to
+// uint32_t exactly.
+bool IsSlotWidth(double v);
+
 // One reducing function application with its parameters.
 struct ReduceSpec {
   ReduceFn fn = ReduceFn::kSum;
   // ft_hist / f_pdf / f_cdf: bucket width and count. ft_percent: param0 = q.
   double param0 = 0.0;
   double param1 = 0.0;
-  // f_array: maximum packed length (0 = unbounded).
+  // f_array: maximum packed length (0 = the default, 5000).
   uint32_t array_limit = 0;
   // Damped-window extension: 2^(-lambda dt) decay; 0 disables (plain
   // streaming statistics). See DESIGN.md §5.

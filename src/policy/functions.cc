@@ -6,7 +6,6 @@ namespace superfe {
 
 ReduceCost CostOfReduce(const ReduceSpec& spec) {
   ReduceCost c;
-  const uint32_t bins = std::max<uint32_t>(static_cast<uint32_t>(spec.param1), 1);
   switch (spec.fn) {
     case ReduceFn::kSum:
     case ReduceFn::kMax:
@@ -53,7 +52,7 @@ ReduceCost CostOfReduce(const ReduceSpec& spec) {
     case ReduceFn::kCdf:
       // Bucket index: the FE-NIC rounds the bin width up to a power of two
       // internally, so indexing is a shift, never a division.
-      c = {bins * 4, 3, 0, 1, 8};
+      c = {OutputWidth(spec) * 4, 3, 0, 1, 8};
       break;
     case ReduceFn::kPercent:
       // Log-scale 32-bucket histogram; index via clz, no division.

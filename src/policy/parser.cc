@@ -427,6 +427,15 @@ class Parser {
       return Status::Ok();
     }
     Next();  // '{'
+    // The limit becomes a slot width: bound it before the cast.
+    const auto set_limit = [&](double v) {
+      if (!IsSlotWidth(v)) {
+        return Error("f_array limit must be an integer in [1, " + std::to_string(kMaxSlotWidth) +
+                     "]");
+      }
+      spec.array_limit = static_cast<uint32_t>(v);
+      return Status::Ok();
+    };
     int positional = 0;
     for (;;) {
       if (Peek().kind == TokKind::kIdent) {
@@ -448,14 +457,18 @@ class Parser {
         } else if (key == "q") {
           spec.param0 = value.number;
         } else if (key == "limit") {
-          spec.array_limit = static_cast<uint32_t>(value.number);
+          if (Status status = set_limit(value.number); !status.ok()) {
+            return status;
+          }
         } else {
           return Error("unknown parameter '" + key + "'");
         }
       } else if (Peek().kind == TokKind::kNumber) {
         const double v = Next().number;
         if (spec.fn == ReduceFn::kArray) {
-          spec.array_limit = static_cast<uint32_t>(v);
+          if (Status status = set_limit(v); !status.ok()) {
+            return status;
+          }
         } else if (positional == 0) {
           spec.param0 = v;
         } else if (positional == 1) {

@@ -1,6 +1,7 @@
 #include "policy/validate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <set>
 
@@ -83,17 +84,31 @@ Status ValidatePolicy(Policy& policy) {
           return Status::InvalidArgument("reduce granularity restriction is not in the chain");
         }
       }
+      // Every parameter that becomes a width is checked before anything
+      // converts it to an integer.
       for (const auto& spec : r->specs) {
-        if (IsHistogramBased(spec.fn) && spec.fn != ReduceFn::kPercent &&
-            (spec.param0 <= 0.0 || spec.param1 < 1.0)) {
+        const bool histogram = IsHistogramBased(spec.fn) && spec.fn != ReduceFn::kPercent;
+        // Only histograms read a bin count, and only they and ft_percent a
+        // first parameter: any other is refused rather than carried along.
+        if ((!histogram && spec.param1 != 0.0) ||
+            (!histogram && spec.fn != ReduceFn::kPercent && spec.param0 != 0.0)) {
           return Status::InvalidArgument(std::string(ReduceFnName(spec.fn)) +
-                                         " requires positive {width, bins} parameters");
+                                         " takes no such parameter");
         }
-        if (spec.fn == ReduceFn::kPercent && (spec.param0 < 0.0 || spec.param0 > 1.0)) {
+        if (histogram && (!(spec.param0 > 0.0) || !IsSlotWidth(spec.param1))) {
+          return Status::InvalidArgument(
+              std::string(ReduceFnName(spec.fn)) + " requires a positive width and an integer " +
+              "bin count in [1, " + std::to_string(kMaxSlotWidth) + "]");
+        }
+        if (spec.fn == ReduceFn::kArray && spec.array_limit > kMaxSlotWidth) {
+          return Status::InvalidArgument("f_array limit must be at most " +
+                                         std::to_string(kMaxSlotWidth));
+        }
+        if (spec.fn == ReduceFn::kPercent && !(spec.param0 >= 0.0 && spec.param0 <= 1.0)) {
           return Status::InvalidArgument("ft_percent quantile must be in [0, 1]");
         }
-        if (spec.decay_lambda < 0.0) {
-          return Status::InvalidArgument("decay lambda must be non-negative");
+        if (!std::isfinite(spec.decay_lambda) || spec.decay_lambda < 0.0) {
+          return Status::InvalidArgument("decay lambda must be finite and non-negative");
         }
         features.insert(r->src + "." + ReduceFnName(spec.fn));
       }
@@ -116,8 +131,9 @@ Status ValidatePolicy(Policy& policy) {
         return Status::InvalidArgument("synthesize source '" + s->src +
                                        "' does not match any reduced feature");
       }
-      if (s->fn == SynthFn::kSample && s->param0 < 1.0) {
-        return Status::InvalidArgument("ft_sample needs a positive target length");
+      if (s->fn == SynthFn::kSample && !IsSlotWidth(s->param0)) {
+        return Status::InvalidArgument("ft_sample needs an integer target length in [1, " +
+                                       std::to_string(kMaxSlotWidth) + "]");
       }
       seen_compute = true;
     } else if (auto* c = std::get_if<CollectOp>(&op)) {

@@ -10,7 +10,6 @@
 #include <limits>
 
 #include "common/hash.h"
-#include "streaming/damped.h"
 #include "streaming/histogram.h"
 #include "streaming/hyperloglog.h"
 #include "streaming/moments.h"
@@ -431,37 +430,11 @@ void WelfordStats::AddBatch(const double* v, size_t n) {
   n_ += n;
 }
 
-void NicWelfordStats::AddBatch(const int64_t* v, size_t n) {
+void NicWelfordStats::AddBatchRounded(const double* v, size_t n) {
   // Integer residue-drain state is inherently sequential; the batch form is
   // bit-identical to n scalar Adds and exists to amortize reducer dispatch.
   for (size_t i = 0; i < n; ++i) {
-    Add(v[i]);
-  }
-}
-
-void NicWelfordStats::AddBatchRounded(const double* v, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
     Add(static_cast<int64_t>(std::llround(v[i])));
-  }
-}
-
-void DampedStats::AddBatch(const double* x, const double* t_seconds,
-                           size_t n) {
-  // Decay factors depend on consecutive timestamp deltas — sequential and
-  // bit-identical to n scalar Adds.
-  for (size_t i = 0; i < n; ++i) {
-    Add(x[i], t_seconds[i]);
-  }
-}
-
-void DampedStats2D::AddBatch(const double* x, const double* t_seconds,
-                             const double* dir_sign, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (dir_sign[i] >= 0.0) {
-      AddA(x[i], t_seconds[i]);
-    } else {
-      AddB(x[i], t_seconds[i]);
-    }
   }
 }
 
@@ -491,17 +464,17 @@ __attribute__((target("avx2"))) void HistogramAvx2(const double* v, size_t n,
                                                    uint64_t* counts) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d w = _mm256_set1_pd(width);
-  const __m128i top = _mm_set1_epi32(top_bin);
-  const __m128i zero32 = _mm_setzero_si128();
+  const __m256d top = _mm256_set1_pd(top_bin);
   const __m256i pack_even = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
   alignas(16) int32_t b[4];
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d x = _mm256_loadu_pd(v + i);
-    // Truncating convert == the scalar (int) cast; IEEE division is exact
-    // either way. Overflow/NaN produce INT_MIN, removed by the lower clamp.
-    const __m128i q = _mm256_cvttpd_epi32(_mm256_div_pd(x, w));
-    __m128i bin = _mm_min_epi32(_mm_max_epi32(q, zero32), top);
+    // Clamp the quotient to the top bin before the truncating convert, as
+    // the scalar loop does (min_pd returns its second operand, the top bin,
+    // for NaN); IEEE division is exact either way. Lanes with x <= 0 are
+    // zeroed below, whatever their quotient converted to.
+    __m128i bin = _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_div_pd(x, w), top));
     const __m256i le0 =
         _mm256_castpd_si256(_mm256_cmp_pd(x, zero, _CMP_LE_OQ));
     bin = _mm_andnot_si128(
@@ -515,9 +488,8 @@ __attribute__((target("avx2"))) void HistogramAvx2(const double* v, size_t n,
   }
   for (; i < n; ++i) {
     const double x = v[i];
-    int bin = x <= 0.0 ? 0 : static_cast<int>(x / width);
-    bin = bin > top_bin ? top_bin : (bin < 0 ? 0 : bin);
-    ++counts[bin];
+    const double q = x / width;
+    ++counts[x <= 0.0 ? 0 : (q < top_bin ? static_cast<int>(q) : top_bin)];
   }
 }
 #endif  // SUPERFE_X86_SIMD
@@ -536,11 +508,8 @@ void FixedHistogram::AddBatch(const double* v, size_t n) {
 #endif
   for (size_t i = 0; i < n; ++i) {
     const double x = v[i];
-    int bin = x <= 0.0 ? 0 : static_cast<int>(x / width_);
-    // Same clamp as Add() plus a lower clamp that only differs on inputs
-    // where the scalar (int) cast is undefined (x / width > INT_MAX).
-    bin = bin > top_bin ? top_bin : (bin < 0 ? 0 : bin);
-    ++counts[bin];
+    const double q = x / width_;  // Clamped before the cast, as in Add().
+    ++counts[x <= 0.0 ? 0 : (q < top_bin ? static_cast<int>(q) : top_bin)];
   }
   total_ += n;
 }

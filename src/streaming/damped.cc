@@ -3,52 +3,140 @@
 #include <cmath>
 
 namespace superfe {
-namespace {
+namespace damped_internal {
 
-constexpr double kFixedScale = 65536.0;  // 16.16 fixed point.
-
-}  // namespace
-
-double DampedStats::Quantize(double v) const {
-  switch (mode_) {
-    case DampedMode::kExactDouble:
-      return v;
-    case DampedMode::kNicFixedPoint: {
-      // 32-bit fixed point with per-group block scaling: values below 2^24
-      // live on the 16.16 grid; larger magnitudes shift the block exponent,
-      // keeping a 24-bit mantissa.
-      if (v == 0.0) {
-        return 0.0;
-      }
-      const double abs_v = std::fabs(v);
-      if (abs_v < 16777216.0) {  // 2^24.
-        return std::nearbyint(v * kFixedScale) / kFixedScale;
-      }
-      const int exponent = std::ilogb(abs_v) - 23;
-      const double scale = std::ldexp(1.0, exponent);
-      return std::nearbyint(v / scale) * scale;
-    }
-    case DampedMode::kFloat32:
-      return static_cast<float>(v);
+double QuantizeFixedNonFinite(double v) {
+  if (std::isnan(v)) {
+    return v;  // ilogb has no exponent to give; the rounding keeps the NaN.
   }
-  return v;
+  const int exponent = std::ilogb(std::fabs(v)) - 23;
+  const double scale = std::ldexp(1.0, exponent);
+  return std::nearbyint(v / scale) * scale;
 }
 
-double DampedStats::Factor(double dt) const {
+double RoundToFloat(double v) { return static_cast<float>(v); }
+
+}  // namespace damped_internal
+
+namespace {
+
+using damped_internal::Quantize;
+
+// The kNicFixedPoint decay factor: exp2 via a fractional LUT with linear
+// interpolation, emitted on the 16.16 grid; the exponent keeps full
+// fixed-point precision. `exact` is the unrounded 2^(-λ dt), at most 1 for
+// the validator's λ >= 0.
+double FixedFactor(double exact) {
+  const double scaled = exact * damped_internal::kFixedScale;
+  return (scaled < 4503599627370496.0 ? damped_internal::RoundToInteger(scaled)
+                                      : std::nearbyint(scaled)) /
+         damped_internal::kFixedScale;
+}
+
+// Decay factor 2^(-lambda dt) under the mode's arithmetic; 1 for dt <= 0.
+double DecayFactor(DampedMode mode, double lambda, double dt) {
   if (dt <= 0.0) {
     return 1.0;
   }
-  switch (mode_) {
+  switch (mode) {
     case DampedMode::kExactDouble:
-      return std::exp2(-lambda_ * dt);
+      return std::exp2(-lambda * dt);
     case DampedMode::kNicFixedPoint:
-      // exp2 via a fractional LUT with linear interpolation, emitted on the
-      // 16.16 grid; the exponent keeps full fixed-point precision.
-      return std::nearbyint(std::exp2(-lambda_ * dt) * kFixedScale) / kFixedScale;
+      return FixedFactor(std::exp2(-lambda * dt));
     case DampedMode::kFloat32:
-      return static_cast<float>(std::exp2(-static_cast<float>(lambda_ * dt)));
+      return static_cast<float>(std::exp2(-static_cast<float>(lambda * dt)));
   }
   return 1.0;
+}
+
+}  // namespace
+
+DampedStep DampedWindow::Advance(double lambda, DampedMode mode, bool one_sided, bool two_sided,
+                                 const DampedClock& clock, double t_seconds, bool forward) {
+  DampedStep step;
+  step.forward = forward;
+  if (clock.started) {
+    step.decay_other = true;
+    if (t_seconds < clock.last_t) {
+      // Late sample: scaled by the decay it would have accumulated since
+      // its own timestamp (DampedStats::Add).
+      step.weight = DecayFactor(mode, lambda, clock.last_t - t_seconds);
+    } else {
+      step.decay_own = true;
+      const double dt = t_seconds - clock.last_t;
+      if (dt > 0.0) {
+        // One exp2 serves the residual and, rounded by the mode, the sides.
+        step.decay_residual = true;
+        step.residual = std::exp2(-lambda * dt);
+        switch (mode) {
+          case DampedMode::kExactDouble:
+            step.factor = step.residual;
+            break;
+          case DampedMode::kNicFixedPoint:
+            step.factor = FixedFactor(step.residual);
+            break;
+          case DampedMode::kFloat32:
+            step.factor = DecayFactor(mode, lambda, dt);
+            break;
+        }
+      }
+    }
+  }
+  const auto decay = [&](DampedSide side) { w_[side] = Quantize(mode, w_[side] * step.factor); };
+  const auto insert = [&](DampedSide side) {
+    const double new_w = Quantize(mode, w_[side] + step.weight);
+    step.insert[side] = mode != DampedMode::kNicFixedPoint || !(new_w <= 0.0);
+    if (step.insert[side]) {
+      w_[side] = new_w;
+    }
+  };
+  if (one_sided) {
+    if (step.decay_own) {
+      decay(kDampedUndirected);
+    }
+    insert(kDampedUndirected);
+  }
+  if (two_sided) {
+    const DampedSide own = forward ? kDampedA : kDampedB;
+    if (step.decay_other) {
+      decay(forward ? kDampedB : kDampedA);
+    }
+    if (step.decay_own) {
+      decay(own);
+    }
+    insert(own);
+  }
+  for (int side = 0; side < 3; ++side) {
+    step.w[side] = w_[side];
+  }
+  return step;
+}
+
+void DampedStats::DecayMoments(double factor) {
+  if (mode_ == DampedMode::kNicFixedPoint) {
+    // Welford-form state (§6.1): weight and central moment decay; the mean
+    // is a location estimate and is decay-invariant.
+    m2_ = Quantize(mode_, m2_ * factor);
+  } else {
+    ls_ = Quantize(mode_, ls_ * factor);
+    ss_ = Quantize(mode_, ss_ * factor);
+  }
+}
+
+void DampedStats::InsertMoments(double x, double weight, double new_w) {
+  if (mode_ == DampedMode::kNicFixedPoint) {
+    // Weighted damped Welford update: numerically stable (no SS/w - mean^2
+    // cancellation), which is exactly why FE-NIC uses it (§6.1).
+    const double delta = x - mean_;
+    const double new_mean = Quantize(mode_, mean_ + weight * delta / new_w);
+    m2_ = Quantize(mode_, m2_ + weight * delta * (x - new_mean));
+    mean_ = new_mean;
+    return;
+  }
+  // LS/SS form: the textbook decayed sums — and, in float32, the original
+  // Kitsune implementation (AfterImage) whose variance cancels badly.
+  ls_ = Quantize(mode_, ls_ + weight * x);
+  ss_ = Quantize(mode_, ss_ + weight * x * x);
 }
 
 void DampedStats::DecayTo(double t_seconds) {
@@ -57,42 +145,21 @@ void DampedStats::DecayTo(double t_seconds) {
     initialized_ = true;
     return;
   }
-  const double factor = Factor(t_seconds - last_t_);
-  if (mode_ == DampedMode::kNicFixedPoint) {
-    // Welford-form state (§6.1): weight and central moment decay; the mean
-    // is a location estimate and is decay-invariant.
-    w_ = Quantize(w_ * factor);
-    m2_ = Quantize(m2_ * factor);
-  } else {
-    w_ = Quantize(w_ * factor);
-    ls_ = Quantize(ls_ * factor);
-    ss_ = Quantize(ss_ * factor);
-  }
+  const double factor = DecayFactor(mode_, lambda_, t_seconds - last_t_);
+  w_ = Quantize(mode_, w_ * factor);
+  DecayMoments(factor);
   if (t_seconds > last_t_) {
     last_t_ = t_seconds;
   }
 }
 
 void DampedStats::AddWeighted(double x, double weight) {
-  if (mode_ == DampedMode::kNicFixedPoint) {
-    // Weighted damped Welford update: numerically stable (no SS/w - mean^2
-    // cancellation), which is exactly why FE-NIC uses it (§6.1).
-    const double new_w = Quantize(w_ + weight);
-    if (new_w <= 0.0) {
-      return;
-    }
-    const double delta = x - mean_;
-    const double new_mean = Quantize(mean_ + weight * delta / new_w);
-    m2_ = Quantize(m2_ + weight * delta * (x - new_mean));
-    w_ = new_w;
-    mean_ = new_mean;
+  const double new_w = Quantize(mode_, w_ + weight);
+  if (mode_ == DampedMode::kNicFixedPoint && new_w <= 0.0) {
     return;
   }
-  // LS/SS form: the textbook decayed sums — and, in float32, the original
-  // Kitsune implementation (AfterImage) whose variance cancels badly.
-  w_ = Quantize(w_ + weight);
-  ls_ = Quantize(ls_ + weight * x);
-  ss_ = Quantize(ss_ + weight * x * x);
+  InsertMoments(x, weight, new_w);
+  w_ = new_w;
 }
 
 void DampedStats::Add(double x, double t_seconds) {
@@ -101,11 +168,26 @@ void DampedStats::Add(double x, double t_seconds) {
     // group's members can arrive out of timestamp order): decayed sums are
     // order-independent when the *incoming* sample is scaled by the decay
     // it would have accumulated since its own timestamp.
-    AddWeighted(x, Factor(last_t_ - t_seconds));
+    AddWeighted(x, DecayFactor(mode_, lambda_, last_t_ - t_seconds));
     return;
   }
   DecayTo(t_seconds);
   AddWeighted(x, 1.0);
+}
+
+void DampedStats::ApplySide(const DampedStep& step, DampedSide side, bool decay, bool insert,
+                            double x) {
+  if (decay) {
+    DecayMoments(step.factor);
+  }
+  if (insert && step.insert[side]) {
+    InsertMoments(x, step.weight, step.w[side]);
+  }
+  w_ = step.w[side];
+}
+
+void DampedStats::Apply(double x, const DampedStep& step) {
+  ApplySide(step, kDampedUndirected, step.decay_own, /*insert=*/true, x);
 }
 
 double DampedStats::mean() const {
@@ -130,8 +212,6 @@ double DampedStats::variance() const {
   const double m = ls_ / w_;
   return std::fabs(ss_ / w_ - m * m);
 }
-
-double DampedStats::stddev() const { return std::sqrt(variance()); }
 
 void DampedStats2D::DecayResidual(double t_seconds) {
   if (!initialized_) {
@@ -162,16 +242,27 @@ void DampedStats2D::AddB(double x, double t_seconds) {
   sr_ += (0.0 - a_.mean()) * (x - b_.mean());
 }
 
-double DampedStats2D::Magnitude() const {
-  const double ma = a_.mean();
-  const double mb = b_.mean();
-  return std::sqrt(ma * ma + mb * mb);
+void DampedStats2D::Apply(double x, const DampedStep& step) {
+  if (step.decay_residual) {
+    sr_ *= step.residual;
+  }
+  if (step.forward) {
+    b_.ApplySide(step, kDampedB, step.decay_other, /*insert=*/false, x);
+    a_.ApplySide(step, kDampedA, step.decay_own, /*insert=*/true, x);
+    sr_ += (x - a_.mean()) * (0.0 - b_.mean());
+  } else {
+    a_.ApplySide(step, kDampedA, step.decay_other, /*insert=*/false, x);
+    b_.ApplySide(step, kDampedB, step.decay_own, /*insert=*/true, x);
+    sr_ += (0.0 - a_.mean()) * (x - b_.mean());
+  }
 }
 
-double DampedStats2D::Radius() const {
-  const double va = a_.variance();
-  const double vb = b_.variance();
-  return std::sqrt(va * va + vb * vb);
+double DampedStats2D::MagnitudeOf(double mean_a, double mean_b) {
+  return std::sqrt(mean_a * mean_a + mean_b * mean_b);
+}
+
+double DampedStats2D::RadiusOf(double var_a, double var_b) {
+  return std::sqrt(var_a * var_a + var_b * var_b);
 }
 
 double DampedStats2D::Covariance() const {
@@ -179,12 +270,12 @@ double DampedStats2D::Covariance() const {
   return w > 0.0 ? sr_ / w : 0.0;
 }
 
-double DampedStats2D::CorrelationCoefficient() const {
-  const double denom = a_.stddev() * b_.stddev();
+double DampedStats2D::CorrelationOf(double cov, double std_a, double std_b) {
+  const double denom = std_a * std_b;
   if (denom <= 0.0) {
     return 0.0;
   }
-  const double cc = Covariance() / denom;
+  const double cc = cov / denom;
   if (cc > 1.0) {
     return 1.0;
   }

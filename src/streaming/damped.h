@@ -15,9 +15,18 @@
 //
 // Table 5 does not list damped variants explicitly; SuperFE supports them as
 // a `decay` parameter on reduce (documented in DESIGN.md §5).
+//
+// Each state can run on its own clock (Add, AddA/AddB), or as a member of a
+// DampedWindow: the states of one group that share a λ see the same samples
+// at the same times, so the window computes the decay factors and each
+// side's weight once per sample and every member applies that DampedStep
+// (docs/ARCHITECTURE.md, "Damped windows"). Both routes round identically.
 #ifndef SUPERFE_STREAMING_DAMPED_H_
 #define SUPERFE_STREAMING_DAMPED_H_
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -27,6 +36,125 @@ enum class DampedMode : uint8_t {
   kExactDouble = 0,
   kNicFixedPoint = 1,
   kFloat32 = 2,
+};
+
+namespace damped_internal {
+
+constexpr double kFixedScale = 65536.0;  // 16.16 fixed point.
+
+// Rounds 0 <= v < 2^52 to an integer, ties to even, as nearbyint does in the
+// default rounding mode: above 2^52 a double has no fraction bits, so the
+// sum drops them with round-to-nearest-even.
+inline double RoundToInteger(double v) {
+  constexpr double kTwo52 = 4503599627370496.0;
+  return (v + kTwo52) - kTwo52;
+}
+
+// Rounds a finite normal v to 24 significant bits, ties to even, on its bit
+// pattern: the 29 low mantissa bits go, a carry moves into the exponent.
+inline double RoundToSignificand24(double v) {
+  constexpr int kDropped = 52 - 23;
+  uint64_t bits = std::bit_cast<uint64_t>(v);
+  const uint64_t odd = (bits >> kDropped) & 1;
+  bits = (bits + ((uint64_t{1} << (kDropped - 1)) - 1) + odd) & ~((uint64_t{1} << kDropped) - 1);
+  return std::bit_cast<double>(bits);
+}
+
+// The kNicFixedPoint rounding of ±inf and NaN (out of line): the
+// ilogb/ldexp/nearbyint form, which turns ±inf into NaN.
+double QuantizeFixedNonFinite(double v);
+
+// kNicFixedPoint rounding: 32-bit fixed point with per-group block scaling.
+// Values below 2^24 live on the 16.16 grid; larger magnitudes shift the
+// block exponent, keeping a 24-bit mantissa. Ties go to even. Equal, bit for
+// bit, to nearbyint(v * 2^16) / 2^16 below 2^24 and to
+// nearbyint(v / 2^e) * 2^e with e = ilogb(|v|) - 23 above, without a libm
+// call. (A float round trip would give the same 24 bits up to FLT_MAX, but
+// GCC 12's C++ front end only has fast excess precision, under which the
+// SLP vectorizer drops the rounding of `a = (float)x; b = (float)y;`.)
+inline double QuantizeFixed(double v) {
+  if (v == 0.0) {
+    return 0.0;
+  }
+  const double abs_v = std::fabs(v);
+  if (abs_v < 16777216.0) {  // 2^24.
+    return std::copysign(RoundToInteger(abs_v * kFixedScale), v) / kFixedScale;
+  }
+  if (abs_v <= DBL_MAX) {
+    return RoundToSignificand24(v);
+  }
+  return QuantizeFixedNonFinite(v);
+}
+
+// The kFloat32 rounding: a double -> float -> double round trip, out of
+// line: a call the vectorizer cannot merge with another (see QuantizeFixed).
+[[gnu::noinline]] double RoundToFloat(double v);
+
+// Applies the mode's rounding to a freshly computed state value.
+inline double Quantize(DampedMode mode, double v) {
+  if (mode == DampedMode::kNicFixedPoint) {
+    return QuantizeFixed(v);
+  }
+  if (mode == DampedMode::kFloat32) {
+    return RoundToFloat(v);
+  }
+  return v;
+}
+
+}  // namespace damped_internal
+
+// The group clock every damped state of a group shares: all of them see
+// every sample, so each one's last time is the latest sample time.
+struct DampedClock {
+  bool started = false;
+  double last_t = 0.0;
+
+  void Advance(double t_seconds) {
+    if (!started || t_seconds > last_t) {
+      last_t = t_seconds;
+    }
+    started = true;
+  }
+};
+
+// The sides of a damped window's weights.
+enum DampedSide : uint8_t {
+  kDampedUndirected = 0,  // 1D states.
+  kDampedA = 1,           // The forward side of 2D states.
+  kDampedB = 2,           // The backward side.
+};
+
+// What one sample does to every state of one damped window.
+struct DampedStep {
+  bool forward = true;          // Sample side of 2D states: A, else B.
+  bool decay_own = false;       // The sample's side decays before the
+                                // insert: neither a first nor a late sample.
+  bool decay_other = false;     // The other side decays: not a first sample.
+  bool decay_residual = false;  // 2D residual sums decay: time moved on.
+  double factor = 1.0;          // Side decay factor (1 for ties and late
+                                // samples), mode-rounded.
+  double residual = 1.0;        // 2^(-λ dt), unrounded, for the residual.
+  double weight = 1.0;          // The sample's weight: the decay since its
+                                // own time for a late sample, else 1.
+  // Per DampedSide: the insert proceeds (fixed point drops a sample whose
+  // weight rounds to 0), and the side's weight after the sample.
+  bool insert[3] = {false, false, false};
+  double w[3] = {0.0, 0.0, 0.0};
+};
+
+// The shared part of one (group, λ) damped window: the weight of each side.
+// The states hold the rest (mean and second moment, or LS and SS, and the
+// 2D residual sum).
+class DampedWindow {
+ public:
+  // Advances the window by a sample at t_seconds. `clock` is the group clock
+  // before this sample; `one_sided`/`two_sided` say which weights the
+  // window's states read.
+  DampedStep Advance(double lambda, DampedMode mode, bool one_sided, bool two_sided,
+                     const DampedClock& clock, double t_seconds, bool forward);
+
+ private:
+  double w_[3] = {0.0, 0.0, 0.0};
 };
 
 // One-dimensional damped statistics.
@@ -39,31 +167,32 @@ class DampedStats {
 
   // Inserts value x observed at time t (seconds).
   void Add(double x, double t_seconds);
-  // Bulk insert of n (value, time) pairs; bit-identical to n scalar Adds.
-  void AddBatch(const double* x, const double* t_seconds, size_t n);
 
   // Decays state to time t without inserting.
   void DecayTo(double t_seconds);
+
+  // Window route: applies a step of the window this (undirected) state
+  // belongs to, inserting x.
+  void Apply(double x, const DampedStep& step);
 
   double weight() const { return w_; }
   double linear_sum() const;
   double mean() const;
   double variance() const;
-  double stddev() const;
-  double lambda() const { return lambda_; }
-  double last_time() const { return last_t_; }
-  DampedMode mode() const { return mode_; }
-
-  // NIC state: w, LS, SS as 32-bit fixed point + last timestamp.
-  static constexpr uint32_t kNicStateBytes = 16;
 
  private:
-  // Applies the mode's rounding to a freshly computed state value.
-  double Quantize(double v) const;
-  // Decay factor 2^(-lambda dt) under the mode's arithmetic.
-  double Factor(double dt) const;
+  friend class DampedStats2D;
+
   // Inserts a (possibly decayed) sample with the given weight.
   void AddWeighted(double x, double weight);
+  // The weight-independent halves of a decay and of an insert: the second
+  // moment (fixed point) or LS and SS; the insert also moves the mean,
+  // which needs the new weight.
+  void DecayMoments(double factor);
+  void InsertMoments(double x, double weight, double new_w);
+  // Window route for one side: decays (when `decay`), inserts (when
+  // `insert`), and takes the window's weight for `side`.
+  void ApplySide(const DampedStep& step, DampedSide side, bool decay, bool insert, double x);
 
   double lambda_;
   DampedMode mode_;
@@ -86,30 +215,36 @@ class DampedStats {
 class DampedStats2D {
  public:
   explicit DampedStats2D(double lambda, DampedMode mode = DampedMode::kExactDouble)
-      : a_(lambda, mode), b_(lambda, mode), lambda_(lambda), mode_(mode) {}
+      : a_(lambda, mode), b_(lambda, mode), lambda_(lambda) {}
 
   // Inserts a value into stream A or B at time t; the residual product uses
   // the other stream's current mean (Kitsune's incStat2D update).
   void AddA(double x, double t_seconds);
   void AddB(double x, double t_seconds);
-  // Bulk insert: dir_sign[i] >= 0 routes to AddA, < 0 to AddB (matching the
-  // exec direction-sign column); bit-identical to n scalar adds.
-  void AddBatch(const double* x, const double* t_seconds,
-                const double* dir_sign, size_t n);
+
+  // Window route: applies a step of the window this state belongs to,
+  // inserting x into the step's side.
+  void Apply(double x, const DampedStep& step);
 
   const DampedStats& a() const { return a_; }
   const DampedStats& b() const { return b_; }
 
   // sqrt(mean_a^2 + mean_b^2)
-  double Magnitude() const;
+  double Magnitude() const { return MagnitudeOf(a_.mean(), b_.mean()); }
   // sqrt(var_a^2 + var_b^2)
-  double Radius() const;
+  double Radius() const { return RadiusOf(a_.variance(), b_.variance()); }
   // Approximate covariance: SR / (w_a + w_b).
   double Covariance() const;
   // Correlation coefficient: cov / (std_a * std_b); 0 when degenerate.
-  double CorrelationCoefficient() const;
+  double CorrelationCoefficient() const {
+    return CorrelationOf(Covariance(), std::sqrt(a_.variance()), std::sqrt(b_.variance()));
+  }
 
-  static constexpr uint32_t kNicStateBytes = 2 * DampedStats::kNicStateBytes + 8;
+  // The 2D statistics from each side's moments, for callers that compute
+  // those once for several statistics.
+  static double MagnitudeOf(double mean_a, double mean_b);
+  static double RadiusOf(double var_a, double var_b);
+  static double CorrelationOf(double cov, double std_a, double std_b);
 
  private:
   void DecayResidual(double t_seconds);
@@ -117,7 +252,6 @@ class DampedStats2D {
   DampedStats a_;
   DampedStats b_;
   double lambda_;
-  DampedMode mode_;
   double sr_ = 0.0;  // Decayed sum of residual products.
   double last_t_ = 0.0;
   bool initialized_ = false;

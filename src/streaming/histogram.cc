@@ -11,8 +11,11 @@ FixedHistogram::FixedHistogram(double width, int bins) : width_(width) {
 }
 
 void FixedHistogram::Add(double x) {
-  int bin = x <= 0.0 ? 0 : static_cast<int>(x / width_);
-  bin = std::min(bin, bins() - 1);
+  // Clamp before the cast: a quotient beyond int (a tiny width) has no
+  // integer conversion.
+  const int top_bin = bins() - 1;
+  const double q = x / width_;
+  const int bin = x <= 0.0 ? 0 : (q < top_bin ? static_cast<int>(q) : top_bin);
   ++counts_[bin];
   ++total_;
 }

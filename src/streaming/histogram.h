@@ -16,8 +16,9 @@ class FixedHistogram {
   FixedHistogram(double width, int bins);
 
   void Add(double x);
-  // Bulk insert; bin-identical to n scalar Adds for all inputs on which
-  // Add() is well defined (the division and truncation are exact).
+  // Bulk insert; bin-identical to n scalar Adds (the division and the
+  // truncation are exact, and both clamp a quotient beyond the top bin
+  // before converting it).
   void AddBatch(const double* v, size_t n);
 
   uint64_t total() const { return total_; }

@@ -49,10 +49,9 @@ class NicWelfordStats {
   using Int128 = __int128;
 
   void Add(int64_t x);
-  // Bulk insert, bit-identical to n scalar Adds (the integer residue drain
-  // is order-dependent by construction); amortizes reducer dispatch.
-  void AddBatch(const int64_t* v, size_t n);
-  // Same, rounding each double with llround first (the exec-path coercion).
+  // Bulk insert of llround(v[i]) (the exec-path coercion), bit-identical to
+  // n scalar Adds (the integer residue drain is order-dependent by
+  // construction); amortizes reducer dispatch.
   void AddBatchRounded(const double* v, size_t n);
 
   uint64_t count() const { return n_; }

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -284,7 +285,13 @@ pktstream
 )");
   const auto& gp = plan.per_granularity[0];
   ASSERT_EQ(gp.owners.size(), 2u);
-  EXPECT_EQ(gp.owner_of, (std::vector<uint32_t>{0, 1, 0}));
+  std::vector<uint32_t> owner_of(gp.slots.size());
+  for (const auto* ops : {&gp.emit_ops, &gp.synthesized_ops}) {
+    for (const EmitOp& op : *ops) {
+      owner_of[op.slot] = op.owner;
+    }
+  }
+  EXPECT_EQ(owner_of, (std::vector<uint32_t>{0, 1, 0}));
 
   const ExecOptions options;
   GroupState group = GroupState::Make(plan, 0, options);
@@ -319,6 +326,53 @@ TEST(FusionOwnerTest, ShippedPoliciesOwnerCounts) {
   std::stringstream source;
   source << in.rdbuf();
   EXPECT_EQ(OwnersAndSlots(PlanFor(source.str())), Counts(5, 9));
+}
+
+// Damped windows and the damped states they hold, over all granularities.
+std::pair<size_t, size_t> WindowsAndStates(const ExecPlan& plan) {
+  size_t windows = 0, states = 0;
+  for (const auto& gp : plan.per_granularity) {
+    windows += gp.windows.size();
+    for (const auto& window : gp.windows) {
+      states += window.owners.size();
+    }
+  }
+  return {windows, states};
+}
+
+TEST(FusionWindowTest, ShippedPoliciesWindowCounts) {
+  // Kitsune: five λ at each of host, channel and socket; 40 damped states.
+  using Counts = std::pair<size_t, size_t>;
+  EXPECT_EQ(WindowsAndStates(PlanFor(KitsunePolicy())), Counts(15, 40));
+  EXPECT_EQ(WindowsAndStates(PlanFor(HeladPolicy())), Counts(15, 35));
+  EXPECT_EQ(WindowsAndStates(PlanFor(NBaiotPolicy())), Counts(10, 25));
+  EXPECT_EQ(WindowsAndStates(PlanFor(MptdPolicy())), Counts(0, 0));
+}
+
+TEST(FusionWindowTest, WindowsKeyOnLambdaAndHoldBothSides) {
+  // At flow, f_mean{decay=1} is a 1D state and f_mag{decay=1} a 2D one: one
+  // window holds both, with the undirected and both directed weights. The
+  // undamped f_mag/f_pcc state is a window of its own (λ = 0).
+  const ExecPlan plan = PlanFor(EveryFunctionPolicy("flow"));
+  const auto& gp = plan.per_granularity[0];
+  std::vector<double> lambdas;
+  for (const auto& window : gp.windows) {
+    lambdas.push_back(window.lambda);
+    for (uint32_t owner : window.owners) {
+      EXPECT_EQ(gp.owners[owner].spec.decay_lambda, window.lambda);
+    }
+  }
+  EXPECT_EQ(lambdas, (std::vector<double>{1.0, 0.1, 0.0}));
+  const auto& one = gp.windows[0];
+  EXPECT_TRUE(one.one_sided);
+  EXPECT_TRUE(one.two_sided);
+  std::set<StateFamily> families;
+  for (uint32_t owner : one.owners) {
+    families.insert(Reducer::Family(gp.owners[owner].spec, /*directional=*/false));
+  }
+  EXPECT_EQ(families, (std::set<StateFamily>{StateFamily::kDamped1D, StateFamily::kDamped2D}));
+  // Every other owner is updated outside the windows.
+  EXPECT_EQ(WindowsAndStates(plan).second + gp.undamped.size(), gp.owners.size());
 }
 
 }  // namespace

@@ -189,6 +189,27 @@ INSTANTIATE_TEST_SUITE_P(
         BadPolicyCase{"mixed_collect_units",
                       "pktstream.groupby(host, channel).reduce(size, "
                       "[f_sum]).collect(host).reduce(size, [f_mean]).collect(channel)"},
+        // Widths that would wrap a uint32_t, or write gigabytes per vector.
+        BadPolicyCase{"hist_bins_too_wide",
+                      "pktstream.groupby(flow).reduce(size, [ft_hist{1, 1e12}]).collect(flow)"},
+        BadPolicyCase{"array_limit_too_wide",
+                      "pktstream.groupby(flow).reduce(size, [f_array{1e10}]).collect(flow)"},
+        BadPolicyCase{"sample_length_too_wide",
+                      "pktstream.groupby(flow).reduce(size, [f_array])"
+                      ".synthesize(ft_sample(size.f_array, 1e12)).collect(flow)"},
+        BadPolicyCase{"bins_on_mean",
+                      "pktstream.groupby(flow).reduce(size, [f_mean{bins=1e12}]).collect(flow)"},
+        BadPolicyCase{"positional_on_sum",
+                      "pktstream.groupby(flow).reduce(size, [f_sum{0, -2}]).collect(flow)"},
+        BadPolicyCase{"bins_on_percent",
+                      "pktstream.groupby(flow).reduce(size, [ft_percent{0.5, 1e12}])"
+                      ".collect(flow)"},
+        BadPolicyCase{"hist_bins_fractional",
+                      "pktstream.groupby(flow).reduce(size, [ft_hist{10, 2.5}]).collect(flow)"},
+        BadPolicyCase{"array_limit_zero",
+                      "pktstream.groupby(flow).reduce(size, [f_array{limit=0}]).collect(flow)"},
+        BadPolicyCase{"decay_not_finite",
+                      "pktstream.groupby(flow).reduce(size, [f_mean{decay=1e999}]).collect(flow)"},
         BadPolicyCase{"trailing_garbage",
                       "pktstream.groupby(flow).reduce(size, [f_sum]).collect(flow) extra"}),
     [](const auto& info) { return std::string(info.param.name); });

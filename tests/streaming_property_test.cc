@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "nicsim/exec.h"
+#include "policy/compile.h"
+#include "policy/parser.h"
 #include "streaming/batch.h"
 #include "streaming/damped.h"
 #include "streaming/histogram.h"
@@ -146,7 +152,9 @@ TEST_P(SeededTest, FixedPointDampedWithinFourPercent) {
   }
   EXPECT_LT(RelativeError(fixed.mean(), exact.mean()), 0.04) << "lambda " << lambda;
   EXPECT_LT(RelativeError(fixed.weight(), exact.weight()), 0.04) << "lambda " << lambda;
-  EXPECT_LT(RelativeError(fixed.stddev(), exact.stddev(), /*eps=*/1.0), 0.06)
+  EXPECT_LT(RelativeError(std::sqrt(fixed.variance()), std::sqrt(exact.variance()),
+                          /*eps=*/1.0),
+            0.06)
       << "lambda " << lambda;
 }
 
@@ -213,43 +221,138 @@ constexpr double kBatchRelBound = 1e-12;
 
 TEST_P(SeededTest, NicWelfordBatchSplitsAreBitExact) {
   Rng rng(GetParam() ^ 0xb1);
-  std::vector<int64_t> xs(2000);
+  std::vector<double> xs(2000);
   for (auto& x : xs) {
-    x = 64 + static_cast<int64_t>(rng.UniformU64(1450));
+    x = rng.UniformDouble(64, 1514);  // llround in both paths.
   }
   NicWelfordStats scalar;
-  for (int64_t x : xs) {
-    scalar.Add(x);
+  for (double x : xs) {
+    scalar.Add(std::llround(x));
   }
   const size_t split = rng.UniformU64(xs.size() + 1);
   NicWelfordStats batch;
-  batch.AddBatch(xs.data(), split);
-  batch.AddBatch(xs.data() + split, xs.size() - split);
+  batch.AddBatchRounded(xs.data(), split);
+  batch.AddBatchRounded(xs.data() + split, xs.size() - split);
   EXPECT_EQ(batch.count(), scalar.count());
   EXPECT_EQ(batch.mean(), scalar.mean());
   EXPECT_EQ(batch.variance(), scalar.variance());
 }
 
 TEST_P(SeededTest, FixedPointDampedBatchIsBitExact) {
+  // A damped window driven by UpdateGroupBatch over two runs split at a
+  // random cell equals standalone DampedStats on their own clocks.
+  auto policy = ParsePolicy("damped", R"(
+pktstream
+  .groupby(flow)
+  .map(one, _, f_one)
+  .reduce(one, [f_sum{decay=1}])
+  .reduce(size, [f_mean{decay=1}, f_var{decay=1}])
+  .collect(flow)
+)");
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  auto compiled = Compile(*policy);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto plan = ExecPlan::FromProgram(compiled->nic_program);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->per_granularity[0].windows.size(), 1u);
+
   Rng rng(GetParam() ^ 0xb2);
-  std::vector<double> xs(1500), ts(1500);
-  double t = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.UniformDouble(64, 1500);
-    t += rng.UniformDouble(0.0001, 0.02);
-    ts[i] = t;
+  std::vector<MgpvCell> cells(1500);
+  uint64_t t_ns = 1000000000;
+  DampedStats weight(1.0, DampedMode::kNicFixedPoint);
+  DampedStats size(1.0, DampedMode::kNicFixedPoint);
+  for (auto& cell : cells) {
+    t_ns += 100000 + rng.UniformU64(20000000);
+    cell.full_timestamp_ns = t_ns;
+    cell.size = static_cast<uint16_t>(64 + rng.UniformU64(1437));
+    cell.fg_tuple = {0x0a000001, 0xac100001, 1000, 80, kProtoTcp};
+    const double t_seconds = static_cast<double>(t_ns) * 1e-9;
+    weight.Add(1.0, t_seconds);
+    size.Add(cell.size, t_seconds);
   }
-  DampedStats scalar(1.0, DampedMode::kNicFixedPoint);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    scalar.Add(xs[i], ts[i]);
+  const size_t split = rng.UniformU64(cells.size() + 1);
+  GroupState group = GroupState::Make(*plan, 0, ExecOptions{});
+  for (const auto& [begin, end] : {std::pair<size_t, size_t>{0, split}, {split, cells.size()}}) {
+    if (begin == end) {
+      continue;
+    }
+    MgpvReport report;
+    report.cells.assign(cells.begin() + begin, cells.begin() + end);
+    PacketBatchSoA soa;
+    soa.Assemble(&report, 1);
+    soa.SortByPrefix(PacketBatchSoA::KeyPrefixBytes(Granularity::kFlow));
+    UpdateGroupBatch(*plan, 0, group, soa, 0, soa.rows());
   }
-  const size_t split = rng.UniformU64(xs.size() + 1);
-  DampedStats batch(1.0, DampedMode::kNicFixedPoint);
-  batch.AddBatch(xs.data(), ts.data(), split);
-  batch.AddBatch(xs.data() + split, ts.data() + split, xs.size() - split);
-  EXPECT_EQ(batch.weight(), scalar.weight());
-  EXPECT_EQ(batch.mean(), scalar.mean());
-  EXPECT_EQ(batch.variance(), scalar.variance());
+  std::vector<double> out;
+  EmitGroupFeatures(*plan, 0, group, out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(out[0]), std::bit_cast<uint64_t>(weight.linear_sum()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(out[1]), std::bit_cast<uint64_t>(size.mean()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(out[2]), std::bit_cast<uint64_t>(size.variance()));
+}
+
+// The kNicFixedPoint rounding as libm computes it: what QuantizeFixed must
+// equal bit for bit.
+double QuantizeFixedLibm(double v) {
+  if (v == 0.0) {
+    return 0.0;
+  }
+  const double abs_v = std::fabs(v);
+  if (abs_v < 16777216.0) {
+    return std::nearbyint(v * 65536.0) / 65536.0;
+  }
+  const int exponent = std::ilogb(abs_v) - 23;
+  const double scale = std::ldexp(1.0, exponent);
+  return std::nearbyint(v / scale) * scale;
+}
+
+void ExpectQuantizesLikeLibm(double v) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(damped_internal::QuantizeFixed(v)),
+            std::bit_cast<uint64_t>(QuantizeFixedLibm(v)))
+      << std::hexfloat << v << ": " << damped_internal::QuantizeFixed(v) << " vs "
+      << QuantizeFixedLibm(v);
+}
+
+TEST_P(SeededTest, FixedPointRoundingMatchesLibm) {
+  Rng rng(GetParam() ^ 0xc1);
+  for (int i = 0; i < 200000; ++i) {
+    const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    // Magnitudes from 2^-20 to 2^130: the 16.16 grid, then 24 significant
+    // bits below and beyond FLT_MAX.
+    const double magnitude = std::exp2(rng.UniformDouble(-20.0, 130.0));
+    ExpectQuantizesLikeLibm(sign * magnitude);
+    // An exact tie of the 16.16 grid, and of 24 significant bits above 2^24.
+    const double k = static_cast<double>(rng.UniformU64(uint64_t{1} << 40));
+    ExpectQuantizesLikeLibm(sign * (k + 0.5) / 65536.0);
+    const double mantissa = static_cast<double>((uint64_t{1} << 23) + rng.UniformU64(1 << 23));
+    const int exponent = static_cast<int>(rng.UniformU64(110));
+    ExpectQuantizesLikeLibm(sign * std::ldexp(mantissa + 0.5, exponent));
+    // The integer rounding the decay factors use, ties included.
+    const double r = static_cast<double>(rng.UniformU64(uint64_t{1} << 51)) +
+                     (rng.Bernoulli(0.5) ? 0.5 : rng.UniformDouble(0.0, 1.0));
+    ASSERT_EQ(damped_internal::RoundToInteger(r), std::nearbyint(r)) << std::hexfloat << r;
+  }
+}
+
+TEST(DampedRoundingTest, EdgeCasesMatchLibm) {
+  const double two24 = 16777216.0;
+  const double flt_max = FLT_MAX;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> edges = {
+      0.0, std::numeric_limits<double>::denorm_min(), 1e-310, DBL_MIN, 1e-300,
+      0.5 / 65536.0, 1.5 / 65536.0, 2.5 / 65536.0, 0.49999 / 65536.0, 1.0 / 65536.0,
+      0.5, 1.5, 2.5,
+      std::nextafter(two24, 0.0), two24, std::nextafter(two24, inf),
+      two24 - 0.5 / 65536.0, two24 + 1.0, two24 + 2.0, two24 + 3.0, 2.0 * two24 + 1.0,
+      std::nextafter(flt_max, 0.0), flt_max, std::nextafter(flt_max, inf),
+      flt_max + std::ldexp(1.0, 103), flt_max + std::ldexp(1.0, 104), 1e300, DBL_MAX, inf};
+  for (double v : edges) {
+    ExpectQuantizesLikeLibm(v);
+    ExpectQuantizesLikeLibm(-v);
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(damped_internal::QuantizeFixed(-0.0)),
+            std::bit_cast<uint64_t>(0.0));
+  EXPECT_TRUE(std::isnan(damped_internal::QuantizeFixed(std::nan(""))));
 }
 
 TEST_P(SeededTest, HllBatchSplitsAreBitExact) {
@@ -287,6 +390,29 @@ TEST_P(SeededTest, HistogramBatchSplitsAreBitExact) {
   for (int b = 0; b < scalar.bins(); ++b) {
     EXPECT_EQ(batch.count(b), scalar.count(b)) << "bin " << b;
   }
+}
+
+TEST(BatchKernelTest, HistogramClampsQuotientsBeyondIntToTopBin) {
+  // A width far below the values (a hostile policy's ft_hist{1e-9, 10})
+  // gives quotients beyond int: every path must bin them into the top
+  // bucket, not convert them.
+  const std::vector<double> xs = {1500.0, 3.0, 1e300, 0.0, -5.0, 1e-12, 64.0};
+  FixedHistogram scalar(1e-9, 10);
+  for (double x : xs) {
+    scalar.Add(x);
+  }
+  EXPECT_EQ(scalar.count(9), 4u);  // 1500, 3, 1e300, 64.
+  EXPECT_EQ(scalar.count(0), 3u);  // 0, -5, and 1e-12 (quotient 0.001).
+  const SimdLevel detected = ActiveSimdLevel();
+  for (SimdLevel level : {detected, SimdLevel::kScalar}) {
+    ForceSimdLevelForTest(level);
+    FixedHistogram batch(1e-9, 10);
+    batch.AddBatch(xs.data(), xs.size());
+    for (int b = 0; b < scalar.bins(); ++b) {
+      EXPECT_EQ(batch.count(b), scalar.count(b)) << SimdLevelName(level) << " bin " << b;
+    }
+  }
+  ForceSimdLevelForTest(detected);
 }
 
 TEST_P(SeededTest, WelfordBatchSplitsWithinUlpBound) {

@@ -162,7 +162,7 @@ TEST(DampedTest, FixedPointCloseToExact) {
     t += rng.UniformDouble(0.0001, 0.01);
   }
   EXPECT_LT(RelativeError(fixed.mean(), exact.mean()), 0.04);
-  EXPECT_LT(RelativeError(fixed.stddev(), exact.stddev()), 0.06);
+  EXPECT_LT(RelativeError(std::sqrt(fixed.variance()), std::sqrt(exact.variance())), 0.06);
 }
 
 TEST(DampedTest, Float32WorseThanFixedPointOnVariance) {
