@@ -8,6 +8,11 @@
 // result is interpretable on its own. Acceptance for the SoA batch path:
 // >= 2x over scalar on at least two kernels at batch 4096 on SIMD hosts.
 // Set SUPERFE_NO_SIMD=1 to measure the portable 4-lane scalar fallback.
+//
+// The damped_lanes row times Kitsune's channel block (15 two-sided lanes:
+// weight, size and jitter at five λ, NIC fixed point): one element is one
+// cell, its window step and lane update plus the statistics its emit ops
+// read, at SimdLevel::kScalar against the detected level.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -18,10 +23,14 @@
 #include <thread>
 #include <vector>
 
+#include "apps/policies.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "nicsim/exec.h"
+#include "policy/compile.h"
 #include "streaming/batch.h"
+#include "streaming/damped_lanes.h"
 #include "streaming/histogram.h"
 #include "streaming/hyperloglog.h"
 #include "streaming/moments.h"
@@ -72,8 +81,8 @@ double TimeNsPerElem(F&& fn, size_t batch, size_t reps) {
 // slow drift) and reports the median of the per-round numbers.
 template <typename ScalarF, typename BatchF>
 Measurement Measure(const char* kernel, size_t batch, ScalarF&& scalar_fn,
-                    BatchF&& batch_fn) {
-  const size_t reps = kElemsPerRound / batch;
+                    BatchF&& batch_fn, size_t elems_per_round = kElemsPerRound) {
+  const size_t reps = elems_per_round / batch;
   // Warmup: one short round of each, untimed.
   scalar_fn(reps / 8 + 1);
   batch_fn(reps / 8 + 1);
@@ -243,8 +252,57 @@ std::vector<Measurement> RunAll() {
   return out;
 }
 
+// Kitsune's channel block, cell by cell: the scalar reference against the
+// detected SIMD level.
+Measurement MeasureDampedLanes() {
+  const ExecPlan plan =
+      ExecPlan::FromProgram(Compile(KitsunePolicy()).value().nic_program).value();
+  const damped_lanes::Plan* lanes = nullptr;
+  for (const auto& gp : plan.per_granularity) {
+    if (gp.granularity == Granularity::kChannel) {
+      lanes = &gp.lanes;
+    }
+  }
+  constexpr size_t kCells = 256;
+  Rng rng(7);
+  std::vector<double> gaps(kCells);
+  std::vector<char> forward(kCells);
+  std::vector<double> inputs(kCells * plan.field_count);
+  for (size_t i = 0; i < kCells; ++i) {
+    gaps[i] = rng.Bernoulli(0.1) ? 0.0 : rng.UniformDouble(0.0, 0.01);
+    forward[i] = rng.Bernoulli(0.5);
+    for (int f = 0; f < plan.field_count; ++f) {
+      inputs[i * plan.field_count + f] = rng.UniformDouble(40.0, 1500.0);
+    }
+  }
+  std::vector<double> block(lanes->BlockSize());
+  damped_lanes::InitBlock(*lanes, block.data());
+  std::vector<double> stats(damped_lanes::kStatCount * lanes->lanes());
+  double now = 1.0;
+  const SimdLevel detected = ActiveSimdLevel();
+  const auto cells_at = [&](SimdLevel level) {
+    return [&, level](size_t reps) {
+      ForceSimdLevelForTest(level);
+      for (size_t r = 0; r < reps; ++r) {
+        for (size_t i = 0; i < kCells; ++i) {
+          now += gaps[i];
+          damped_lanes::Update(DampedMode::kNicFixedPoint, *lanes, block.data(), now,
+                               forward[i] != 0, &inputs[i * plan.field_count]);
+          damped_lanes::Stats(DampedMode::kNicFixedPoint, *lanes, block.data(), forward[i] != 0,
+                              stats.data());
+        }
+        Keep(stats);
+      }
+      ForceSimdLevelForTest(detected);
+    };
+  };
+  return Measure("damped_lanes", kCells, cells_at(SimdLevel::kScalar), cells_at(detected),
+                 kElemsPerRound / 64);
+}
+
 int Run() {
-  const std::vector<Measurement> results = RunAll();
+  std::vector<Measurement> results = RunAll();
+  results.push_back(MeasureDampedLanes());
   const char* simd = SimdLevelName(ActiveSimdLevel());
   const unsigned host_cpus = std::thread::hardware_concurrency();
 

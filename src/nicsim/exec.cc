@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <compare>
+#include <cstdlib>
 #include <map>
+#include <tuple>
 
 #include "common/hash.h"
 #include "policy/functions.h"
@@ -102,10 +104,7 @@ StateFamily Reducer::Family(const ReduceSpec& spec, bool directional) {
   return StateFamily::kSum;
 }
 
-Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional)
-    : spec_(spec) {
-  const double lambda = spec.decay_lambda;
-  const DampedMode mode = options.EffectiveDampedMode();
+Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional) {
   switch (Family(spec, directional)) {
     case StateFamily::kSum:
       impl_ = exec_internal::SumAgg{};
@@ -121,11 +120,9 @@ Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool direct
       }
       break;
     case StateFamily::kDamped1D:
-      impl_ = DampedStats(lambda, mode);
-      break;
     case StateFamily::kDamped2D:
-      impl_ = DampedStats2D(lambda, mode);
-      break;
+      // ExecPlan gives every damped owner a lane instead.
+      std::abort();
     case StateFamily::kMoments:
       impl_ = StreamingMoments();
       break;
@@ -145,7 +142,7 @@ Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool direct
   }
 }
 
-void Reducer::Update(double value, double t_seconds, Direction dir) {
+void Reducer::Update(double value) {
   std::visit(
       Overloaded{
           [&](exec_internal::SumAgg& agg) { agg.sum += value; },
@@ -160,14 +157,6 @@ void Reducer::Update(double value, double t_seconds, Direction dir) {
           },
           [&](WelfordStats& w) { w.Add(value); },
           [&](NicWelfordStats& w) { w.Add(static_cast<int64_t>(std::llround(value))); },
-          [&](DampedStats& damped) { damped.Add(value, t_seconds); },
-          [&](DampedStats2D& two_sided) {
-            if (dir == Direction::kForward) {
-              two_sided.AddA(value, t_seconds);
-            } else {
-              two_sided.AddB(value, t_seconds);
-            }
-          },
           [&](StreamingMoments& moments) { moments.Add(value); },
           [&](HyperLogLog& hll) { hll.AddU64(static_cast<uint64_t>(std::llround(value))); },
           [&](exec_internal::ArrayAgg& agg) {
@@ -184,20 +173,10 @@ void Reducer::Update(double value, double t_seconds, Direction dir) {
       impl_);
 }
 
-void Reducer::UpdateBatch(const double* values, const double* t_seconds,
-                          const double* dir_sign, size_t n,
-                          std::vector<uint64_t>& scratch_u64) {
+void Reducer::UpdateBatch(const double* values, size_t n, std::vector<uint64_t>& scratch_u64) {
   if (n == 0) {
     return;
   }
-  // Damped states on their own clocks take the rows one by one;
-  // UpdateGroupBatch drives damped owners through their windows instead.
-  const auto update_rows = [&] {
-    for (size_t i = 0; i < n; ++i) {
-      Update(values[i], t_seconds[i],
-             dir_sign[i] >= 0.0 ? Direction::kForward : Direction::kBackward);
-    }
-  };
   std::visit(
       Overloaded{
           [&](exec_internal::SumAgg& agg) { agg.sum += batchkern::Sum(values, n); },
@@ -214,8 +193,6 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
           },
           [&](WelfordStats& w) { w.AddBatch(values, n); },
           [&](NicWelfordStats& w) { w.AddBatchRounded(values, n); },
-          [&](DampedStats&) { update_rows(); },
-          [&](DampedStats2D&) { update_rows(); },
           [&](StreamingMoments& moments) { moments.AddBatch(values, n); },
           [&](HyperLogLog& hll) {
             if (scratch_u64.size() < n) {
@@ -237,23 +214,19 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
       impl_);
 }
 
-void Reducer::EmitAs(const ReduceSpec& spec, std::vector<double>& out, Direction dir) const {
+void Reducer::EmitAs(const ReduceSpec& spec, std::vector<double>& out) const {
   const EmitOp op{.fn = spec.fn, .q = spec.param0, .width = OutputWidth(spec)};
   const size_t begin = out.size();
   out.resize(begin + op.width, 0.0);
-  EmitOps(&op, 1, dir, out.data() + begin);
+  EmitOps(&op, 1, out.data() + begin);
 }
 
-void Reducer::EmitOps(const EmitOp* ops, size_t n, Direction dir, double* out) const {
-  // Mean, variance and standard deviation of a Welford or one-sided damped
-  // state, for its mean/var/std (and damped sum) ops.
-  const auto write_moments = [&](double mean, double var, double sum) {
+void Reducer::EmitOps(const EmitOp* ops, size_t n, double* out) const {
+  // Mean, variance and standard deviation of a Welford state.
+  const auto write_moments = [&](double mean, double var) {
     for (size_t i = 0; i < n; ++i) {
       double& value = out[ops[i].offset];
       switch (ops[i].fn) {
-        case ReduceFn::kSum:
-          value = sum;
-          break;
         case ReduceFn::kMean:
           value = mean;
           break;
@@ -282,61 +255,8 @@ void Reducer::EmitOps(const EmitOp* ops, size_t n, Direction dir, double* out) c
               out[ops[i].offset] = ops[i].fn == ReduceFn::kMax ? agg.max : agg.min;
             }
           },
-          [&](const WelfordStats& w) { write_moments(w.mean(), w.variance(), 0.0); },
-          [&](const NicWelfordStats& w) { write_moments(w.mean(), w.variance(), 0.0); },
-          [&](const DampedStats& damped) {
-            write_moments(damped.mean(), damped.variance(), damped.linear_sum());
-          },
-          [&](const DampedStats2D& two_sided) {
-            const DampedStats* side[2] = {&two_sided.a(), &two_sided.b()};
-            const int own = dir == Direction::kForward ? 0 : 1;
-            double var[2] = {0.0, 0.0};
-            double stddev[2] = {0.0, 0.0};
-            bool moments = false;
-            const auto side_moments = [&] {
-              if (!moments) {
-                for (int s = 0; s < 2; ++s) {
-                  var[s] = side[s]->variance();
-                  stddev[s] = std::sqrt(var[s]);
-                }
-                moments = true;
-              }
-            };
-            for (size_t i = 0; i < n; ++i) {
-              double& value = out[ops[i].offset];
-              switch (ops[i].fn) {
-                case ReduceFn::kSum:
-                  value = side[own]->linear_sum();
-                  break;
-                case ReduceFn::kMean:
-                  value = side[own]->mean();
-                  break;
-                case ReduceFn::kVar:
-                  side_moments();
-                  value = var[own];
-                  break;
-                case ReduceFn::kStd:
-                  side_moments();
-                  value = stddev[own];
-                  break;
-                case ReduceFn::kMag:
-                  value = DampedStats2D::MagnitudeOf(side[0]->mean(), side[1]->mean());
-                  break;
-                case ReduceFn::kRadius:
-                  side_moments();
-                  value = DampedStats2D::RadiusOf(var[0], var[1]);
-                  break;
-                case ReduceFn::kCov:
-                  value = two_sided.Covariance();
-                  break;
-                default:  // kPcc.
-                  side_moments();
-                  value = DampedStats2D::CorrelationOf(two_sided.Covariance(), stddev[0],
-                                                       stddev[1]);
-                  break;
-              }
-            }
-          },
+          [&](const WelfordStats& w) { write_moments(w.mean(), w.variance()); },
+          [&](const NicWelfordStats& w) { write_moments(w.mean(), w.variance()); },
           [&](const StreamingMoments& moments) {
             for (size_t i = 0; i < n; ++i) {
               out[ops[i].offset] =
@@ -429,6 +349,119 @@ std::vector<double> ApplySynth(const SynthStep& step, std::vector<double> values
   return values;
 }
 
+namespace {
+
+// The lane statistic a damped slot emits.
+damped_lanes::Stat LaneStat(ReduceFn fn) {
+  switch (fn) {
+    case ReduceFn::kSum:
+      return damped_lanes::kSum;
+    case ReduceFn::kMean:
+      return damped_lanes::kMean;
+    case ReduceFn::kVar:
+      return damped_lanes::kVar;
+    case ReduceFn::kStd:
+      return damped_lanes::kStd;
+    case ReduceFn::kMag:
+      return damped_lanes::kMag;
+    case ReduceFn::kRadius:
+      return damped_lanes::kRadius;
+    case ReduceFn::kCov:
+      return damped_lanes::kCov;
+    default:  // kPcc.
+      return damped_lanes::kPcc;
+  }
+}
+
+// Splits a granularity's owners into Reducers and damped lanes. Each λ is a
+// window (first-use order). The lanes are ordered by kind (one-sided first),
+// source field and window, so the lanes of one kind and field form a few
+// runs of consecutive windows. A run computes the
+// statistics its lanes' slots read (its tier). The unsynthesized slots of
+// damped owners move from emit_ops to lane_ops.
+void PlanDampedLanes(ExecPlan::GranularityPlan& gp, bool directional) {
+  struct Lane {
+    uint32_t owner = 0;
+    uint32_t window = 0;
+    int src = 0;
+    bool two_sided = false;
+    damped_lanes::Tier tier = damped_lanes::kTierMean;
+  };
+  damped_lanes::Plan& lp = gp.lanes;
+  std::vector<Lane> lanes;
+  std::vector<int> lane_of(gp.owners.size(), -1);
+  for (uint32_t i = 0; i < gp.owners.size(); ++i) {
+    ExecPlan::ReduceStep& owner = gp.owners[i];
+    const StateFamily family = Reducer::Family(owner.spec, directional);
+    if (family != StateFamily::kDamped1D && family != StateFamily::kDamped2D) {
+      owner.state = static_cast<uint32_t>(gp.undamped.size());
+      gp.undamped.push_back(i);
+      continue;
+    }
+    owner.damped = true;
+    Lane lane{.owner = i, .src = owner.src, .two_sided = family == StateFamily::kDamped2D};
+    const auto window = std::find(lp.lambdas.begin(), lp.lambdas.end(), owner.spec.decay_lambda);
+    lane.window = static_cast<uint32_t>(window - lp.lambdas.begin());
+    if (window == lp.lambdas.end()) {
+      lp.lambdas.push_back(owner.spec.decay_lambda);
+    }
+    lane_of[i] = static_cast<int>(lanes.size());
+    lanes.push_back(lane);
+  }
+  for (const auto* ops : {&gp.emit_ops, &gp.synthesized_ops}) {
+    for (const EmitOp& op : *ops) {
+      if (lane_of[op.owner] >= 0) {
+        Lane& lane = lanes[lane_of[op.owner]];
+        lane.tier = std::max(lane.tier, damped_lanes::TierOf(LaneStat(op.fn)));
+      }
+    }
+  }
+  std::stable_sort(lanes.begin(), lanes.end(), [](const Lane& a, const Lane& b) {
+    return std::tie(a.two_sided, a.src, a.window) < std::tie(b.two_sided, b.src, b.window);
+  });
+  uint32_t next[2] = {0, 0};  // One-sided, two-sided.
+  for (size_t i = 0; i < lanes.size();) {
+    size_t j = i + 1;
+    while (j < lanes.size() && lanes[j].src == lanes[i].src &&
+           lanes[j].two_sided == lanes[i].two_sided &&
+           lanes[j].window == lanes[j - 1].window + 1) {
+      ++j;
+    }
+    damped_lanes::Run run{.lane = next[lanes[i].two_sided],
+                          .window = lanes[i].window,
+                          .count = static_cast<uint32_t>(j - i),
+                          .input = static_cast<uint32_t>(lanes[i].src),
+                          .two_sided = lanes[i].two_sided};
+    for (size_t k = i; k < j; ++k) {
+      run.tier = std::max(run.tier, lanes[k].tier);
+    }
+    next[lanes[i].two_sided] += run.count;
+    lp.runs.push_back(run);
+    i = j;
+  }
+  lp.lanes1 = next[0];
+  lp.lanes2 = next[1];
+  size_t first = 0;
+  for (const damped_lanes::Run& run : lp.runs) {
+    for (uint32_t k = 0; k < run.count; ++k) {
+      gp.owners[lanes[first + k].owner].state = lp.StatsLane(run, k);
+    }
+    first += run.count;
+  }
+  std::vector<EmitOp> undamped_ops;
+  for (const EmitOp& op : gp.emit_ops) {
+    const ExecPlan::ReduceStep& owner = gp.owners[op.owner];
+    if (owner.damped) {
+      gp.lane_ops.push_back(LaneOp{LaneStat(op.fn) * lp.lanes() + owner.state, op.offset});
+    } else {
+      undamped_ops.push_back(op);
+    }
+  }
+  gp.emit_ops = std::move(undamped_ops);
+}
+
+}  // namespace
+
 Result<ExecPlan> ExecPlan::FromProgram(const NicProgram& program) {
   ExecPlan plan;
   std::map<std::string, int> field_index = {{"size", kFieldSize},
@@ -508,25 +541,9 @@ Result<ExecPlan> ExecPlan::FromProgram(const NicProgram& program) {
       (slot.synths.empty() ? gp.emit_ops : gp.synthesized_ops).push_back(op);
       gp.width += slot.Width();
     }
+    PlanDampedLanes(gp, directional);
     std::stable_sort(gp.emit_ops.begin(), gp.emit_ops.end(),
                      [](const EmitOp& a, const EmitOp& b) { return a.owner < b.owner; });
-    // Damped windows: the damped owners grouped by λ.
-    for (uint32_t i = 0; i < gp.owners.size(); ++i) {
-      const StateFamily family = Reducer::Family(gp.owners[i].spec, directional);
-      if (family != StateFamily::kDamped1D && family != StateFamily::kDamped2D) {
-        gp.undamped.push_back(i);
-        continue;
-      }
-      const double lambda = gp.owners[i].spec.decay_lambda;
-      auto window = std::find_if(gp.windows.begin(), gp.windows.end(),
-                                 [&](const DampedWindowPlan& w) { return w.lambda == lambda; });
-      if (window == gp.windows.end()) {
-        window = gp.windows.insert(gp.windows.end(), DampedWindowPlan{});
-        window->lambda = lambda;
-      }
-      (family == StateFamily::kDamped1D ? window->one_sided : window->two_sided) = true;
-      window->owners.push_back(i);
-    }
     plan.width += gp.width;
     plan.per_granularity.push_back(std::move(gp));
   }
@@ -695,37 +712,17 @@ GroupState GroupState::Make(const ExecPlan& plan, size_t gi, const ExecOptions& 
   GroupState state;
   const auto& gp = plan.per_granularity[gi];
   const bool directional = gp.granularity != Granularity::kFlow;
-  state.reducers.reserve(gp.owners.size());
-  for (const auto& r : gp.owners) {
-    state.reducers.emplace_back(r.spec, options, directional);
+  state.reducers.reserve(gp.undamped.size());
+  for (uint32_t owner : gp.undamped) {
+    state.reducers.emplace_back(gp.owners[owner].spec, options, directional);
   }
   state.damped_mode = options.EffectiveDampedMode();
-  state.windows.resize(gp.windows.size());
+  if (const size_t size = gp.lanes.BlockSize(); size > 0) {
+    state.lanes = std::make_unique_for_overwrite<double[]>(size);
+    damped_lanes::InitBlock(gp.lanes, state.lanes.get());
+  }
   return state;
 }
-
-namespace {
-
-// Feeds one sample at t_seconds to every damped window of the group: each
-// window computes its step once, and each of its states applies it.
-// value_of(owner) is the owner's source value for this sample.
-template <typename ValueOf>
-void UpdateWindows(const ExecPlan::GranularityPlan& gp, GroupState& group, double t_seconds,
-                   Direction dir, const ValueOf& value_of) {
-  const bool forward = dir == Direction::kForward;
-  for (size_t w = 0; w < gp.windows.size(); ++w) {
-    const ExecPlan::DampedWindowPlan& window = gp.windows[w];
-    const DampedStep step =
-        group.windows[w].Advance(window.lambda, group.damped_mode, window.one_sided,
-                                 window.two_sided, group.damped_clock, t_seconds, forward);
-    for (uint32_t owner : window.owners) {
-      group.reducers[owner].ApplyDamped(value_of(owner), step);
-    }
-  }
-  group.damped_clock.Advance(t_seconds);
-}
-
-}  // namespace
 
 void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvCell& cell) {
   const double t_ns = static_cast<double>(cell.full_timestamp_ns);
@@ -772,11 +769,13 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
   }
 
   const auto& gp = plan.per_granularity[gi];
-  for (uint32_t i : gp.undamped) {
-    group.reducers[i].Update(fields[gp.owners[i].src], t_seconds, cell.direction);
+  for (size_t i = 0; i < gp.undamped.size(); ++i) {
+    group.reducers[i].Update(fields[gp.owners[gp.undamped[i]].src]);
   }
-  UpdateWindows(gp, group, t_seconds, cell.direction,
-                [&](uint32_t owner) { return fields[gp.owners[owner].src]; });
+  if (group.lanes != nullptr) {
+    damped_lanes::Update(group.damped_mode, gp.lanes, group.lanes.get(), t_seconds,
+                         cell.direction == Direction::kForward, fields);
+  }
 
   last_ts = t_ns;
   group.last_dir = dir_sign;
@@ -866,18 +865,20 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
   }
 
   // Each undamped owner consumes its source column as one bulk call; the
-  // damped windows, whose decays follow consecutive timestamps, go row by
+  // damped lanes, whose decays follow consecutive timestamps, go row by
   // row.
-  const double* ts = soa.t_seconds.data() + begin;
-  const double* dirs = soa.dir_sign.data() + begin;
-  for (uint32_t i : gp.undamped) {
-    group.reducers[i].UpdateBatch(col[gp.owners[i].src] + begin, ts, dirs, n,
+  for (size_t i = 0; i < gp.undamped.size(); ++i) {
+    group.reducers[i].UpdateBatch(col[gp.owners[gp.undamped[i]].src] + begin, n,
                                   soa.scratch_u64);
   }
-  if (!gp.windows.empty()) {
+  if (group.lanes != nullptr) {
+    double row[64];
     for (size_t r = begin; r < end; ++r) {
-      UpdateWindows(gp, group, soa.t_seconds[r], soa.direction[r],
-                    [&](uint32_t owner) { return col[gp.owners[owner].src][r]; });
+      for (const damped_lanes::Run& run : gp.lanes.runs) {
+        row[run.input] = col[run.input][r];
+      }
+      damped_lanes::Update(group.damped_mode, gp.lanes, group.lanes.get(), soa.t_seconds[r],
+                           soa.direction[r] == Direction::kForward, row);
     }
   }
 
@@ -900,15 +901,29 @@ void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
     while (j < ops.size() && ops[j].owner == ops[i].owner) {
       ++j;
     }
-    group.reducers[ops[i].owner].EmitOps(&ops[i], j - i, group.last_direction, block);
+    group.reducers[gp.owners[ops[i].owner].state].EmitOps(&ops[i], j - i, block);
     i = j;
+  }
+  damped_lanes::Scratch<damped_lanes::kStatCount * 64> stats(damped_lanes::kStatCount *
+                                                             gp.lanes.lanes());
+  if (group.lanes != nullptr) {
+    damped_lanes::Stats(group.damped_mode, gp.lanes, group.lanes.get(),
+                        group.last_direction == Direction::kForward, stats.data());
+    for (const LaneOp& op : gp.lane_ops) {
+      block[op.offset] = stats.data()[op.stat];
+    }
   }
   // Synthesized slots: the raw values through the slot's synthesize chain,
   // cut to the slot's width.
   for (const EmitOp& op : gp.synthesized_ops) {
     const FeatureSlot& slot = gp.slots[op.slot];
+    const ExecPlan::ReduceStep& owner = gp.owners[op.owner];
     std::vector<double> values;
-    group.reducers[op.owner].EmitAs(slot.spec, values, group.last_direction);
+    if (owner.damped) {
+      values.push_back(stats.data()[LaneStat(op.fn) * gp.lanes.lanes() + owner.state]);
+    } else {
+      group.reducers[owner.state].EmitAs(slot.spec, values);
+    }
     for (const auto& step : slot.synths) {
       values = ApplySynth(step, std::move(values));
     }

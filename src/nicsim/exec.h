@@ -19,6 +19,7 @@
 #include "nicsim/group_table.h"
 #include "policy/compile.h"
 #include "streaming/damped.h"
+#include "streaming/damped_lanes.h"
 #include "streaming/histogram.h"
 #include "streaming/hyperloglog.h"
 #include "streaming/moments.h"
@@ -93,83 +94,66 @@ enum class StateFamily : uint8_t {
   kPercent,    // ft_percent (one log histogram serves every q).
 };
 
-// A collected feature compiled to one write: the statistic `fn` of the state
-// `owner` goes to `offset` of its granularity's block, `width` values wide
-// (f_array, ft_hist, f_pdf and f_cdf are multi-value; a short f_array leaves
-// zeros). Side rule: the side statistics (sum, mean, var, std) of a
-// two-sided damped state read the emitting packet's side; those of a
-// one-sided one read the state. A synthesized slot's op emits the raw values
-// through its synthesize chain instead. docs/ARCHITECTURE.md, "Emit ops".
+// A collected feature of an undamped owner compiled to one write: the
+// statistic `fn` of the state `owner` goes to `offset` of its
+// granularity's block, `width` values wide (f_array, ft_hist, f_pdf and
+// f_cdf are multi-value; a short f_array leaves zeros). A synthesized
+// slot's op emits the raw values through its synthesize chain instead, for
+// an owner of any family. docs/ARCHITECTURE.md, "Emit ops".
 struct EmitOp {
-  uint32_t owner = 0;
-  uint32_t slot = 0;  // Index into the granularity's slots.
+  uint32_t owner = 0;  // Index into the granularity's owners.
+  uint32_t slot = 0;   // Index into the granularity's slots.
   ReduceFn fn = ReduceFn::kSum;
   double q = 0.0;  // ft_percent's quantile.
   uint32_t offset = 0;
   uint32_t width = 1;
 };
 
-// One per-group state of a reducing-function family.
-//
-// At direction-recording granularities (host/channel/socket, Table 5) the
-// damped 1D statistics are *directional*: each direction's sub-stream is
-// tracked separately (Kitsune's HH/HpHp semantics) and emission reports the
-// current packet's side. Directed sub-streams also stay in timestamp order
-// through MGPV, since each lives inside one coarse-granularity group.
+// A collected feature of a damped owner: one value of the lane statistics
+// (damped_lanes::Stats' output at `stat`) goes to `offset`.
+struct LaneOp {
+  uint32_t stat = 0;
+  uint32_t offset = 0;
+};
+
+// One per-group state of an undamped reducing-function family. (The damped
+// families are lanes of the group's damped block: damped_lanes.h.)
 class Reducer {
  public:
-  // Builds the state of `spec`'s family.
+  // Builds the state of `spec`'s family, which must be undamped.
   Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional);
 
   // The state family `spec` reads at a granularity that does (or does not)
-  // record direction.
+  // record direction. At direction-recording granularities
+  // (host/channel/socket, Table 5) the damped 1D statistics are
+  // directional: each direction's sub-stream is tracked separately
+  // (Kitsune's HH/HpHp semantics) in a two-sided state, and emission reports
+  // the current packet's side. Directed sub-streams stay in timestamp order
+  // through MGPV, since each lives inside one coarse-granularity group.
   static StateFamily Family(const ReduceSpec& spec, bool directional);
 
-  // Feeds one sample. `t_seconds` is the packet time (damped windows);
-  // `dir` routes bidirectional and directional statistics.
-  void Update(double value, double t_seconds, Direction dir);
+  // Feeds one sample.
+  void Update(double value);
 
-  // Feeds n samples at once (one group run of a sorted batch). `dir_sign`
-  // is the ±1 direction column; `scratch_u64` is caller-provided conversion
-  // scratch (grown as needed). Equivalent to n Update calls: bit-identical
-  // for the integer/fixed-point/order-independent kernels, ULP-bounded for
-  // the double sum/Welford/moments kernels (see streaming/batch.h).
-  void UpdateBatch(const double* values, const double* t_seconds,
-                   const double* dir_sign, size_t n,
-                   std::vector<uint64_t>& scratch_u64);
-
-  // Window route for a damped state (UpdateGroup, UpdateGroupBatch): applies
-  // the step its window computed for this sample.
-  void ApplyDamped(double value, const DampedStep& step) {
-    if (auto* two_sided = std::get_if<DampedStats2D>(&impl_)) {
-      two_sided->Apply(value, step);
-    } else {
-      std::get_if<DampedStats>(&impl_)->Apply(value, step);
-    }
-  }
+  // Feeds n samples at once (one group run of a sorted batch).
+  // `scratch_u64` is caller-provided conversion scratch (grown as needed).
+  // Equivalent to n Update calls: bit-identical for the
+  // integer/fixed-point/order-independent kernels, ULP-bounded for the
+  // double sum/Welford/moments kernels (see streaming/batch.h).
+  void UpdateBatch(const double* values, size_t n, std::vector<uint64_t>& scratch_u64);
 
   // Writes the n ops, all reading this state, at their offsets of `out`
-  // (zero-filled by the caller); `dir` is the emitting packet's side, which
-  // selects the side of directional statistics. The state is visited once,
-  // and a damped state's side variances and standard deviations are
-  // computed once for all the ops.
-  void EmitOps(const EmitOp* ops, size_t n, Direction dir, double* out) const;
+  // (zero-filled by the caller). The state is visited once.
+  void EmitOps(const EmitOp* ops, size_t n, double* out) const;
 
   // Appends the OutputWidth(spec) feature values of `spec`, any member of
   // this state's family: EmitOps with one op.
-  void EmitAs(const ReduceSpec& spec, std::vector<double>& out,
-              Direction dir = Direction::kForward) const;
-
-  // EmitAs of the spec this state was built from.
-  void Emit(std::vector<double>& out, Direction dir = Direction::kForward) const {
-    EmitAs(spec_, out, dir);
-  }
+  void EmitAs(const ReduceSpec& spec, std::vector<double>& out) const;
 
  private:
-  ReduceSpec spec_;
   std::variant<exec_internal::SumAgg, exec_internal::MinMaxAgg, WelfordStats, NicWelfordStats,
-               DampedStats, StreamingMoments, DampedStats2D, HyperLogLog,
-               exec_internal::ArrayAgg, FixedHistogram, exec_internal::LogHist>
+               StreamingMoments, HyperLogLog, exec_internal::ArrayAgg, FixedHistogram,
+               exec_internal::LogHist>
       impl_;
 };
 
@@ -196,31 +180,28 @@ struct ExecPlan {
   };
   struct ReduceStep {
     int src = 0;
-    ReduceSpec spec;  // The first member's spec; builds the state.
-  };
-  // The damped owners of one granularity that share a λ. Every owner of a
-  // granularity sees every cell of its group, so they share the group clock,
-  // and those with one λ share the decay factors and each side's weight
-  // (docs/ARCHITECTURE.md, "Damped windows").
-  struct DampedWindowPlan {
-    double lambda = 0.0;
-    bool one_sided = false;        // Holds a 1D state (the undirected weight).
-    bool two_sided = false;        // Holds a 2D state (the A and B weights).
-    std::vector<uint32_t> owners;  // Indices into owners.
+    ReduceSpec spec;      // The first member's spec; builds the state.
+    bool damped = false;  // A lane of the damped block, else a Reducer.
+    uint32_t state = 0;   // Index into GroupState::reducers, or the lane's
+                          // place in damped_lanes::Stats' output.
   };
   struct GranularityPlan {
     Granularity granularity = Granularity::kFlow;
     // Owner table: one state per distinct (source field, state family, λ,
-    // family parameters), in first-use order. GroupState::reducers is
-    // parallel to it.
+    // family parameters), in first-use order.
     std::vector<ReduceStep> owners;
     std::vector<FeatureSlot> slots;  // Collected features, layout order.
     uint32_t width = 0;              // Sum of the slots' widths.
-    std::vector<DampedWindowPlan> windows;  // In first-use order of λ.
-    std::vector<uint32_t> undamped;         // Owners in no window.
-    // One per unsynthesized slot, grouped by owner (an owner's ops are
-    // contiguous); then one per synthesized slot, in layout order.
+    // The undamped owners; GroupState::reducers is parallel to it.
+    std::vector<uint32_t> undamped;
+    // The damped owners as lanes: one window per λ (first-use order), runs
+    // fed by source fields (docs/ARCHITECTURE.md, "Damped lanes").
+    damped_lanes::Plan lanes;
+    // One per unsynthesized slot: of undamped owners grouped by owner (an
+    // owner's ops are contiguous), of damped owners in layout order; then
+    // one per synthesized slot, in layout order.
     std::vector<EmitOp> emit_ops;
+    std::vector<LaneOp> lane_ops;
     std::vector<EmitOp> synthesized_ops;
   };
 
@@ -305,14 +286,12 @@ struct GroupState {
   // direction share a coarse-granularity group).
   double last_tstamp_ns[2] = {-1.0, -1.0};  // Indexed by Direction.
   int last_dir = 0;
+  DampedMode damped_mode = DampedMode::kExactDouble;
   double burst_len = 0.0;
 
-  std::vector<Reducer> reducers;  // Parallel to the granularity plan's owners.
-  // The damped windows' shared state: one clock for the group, one set of
-  // side weights per window (parallel to the plan's windows).
-  DampedClock damped_clock;
-  DampedMode damped_mode = DampedMode::kExactDouble;
-  std::vector<DampedWindow> windows;
+  std::vector<Reducer> reducers;  // Parallel to the granularity plan's undamped.
+  // The damped owners' lane block (damped_lanes.h); null without any.
+  std::unique_ptr<double[]> lanes;
 
   // Bookkeeping for emission.
   uint64_t packets = 0;
@@ -329,16 +308,17 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
 
 // Updates one group with the sorted batch rows [begin, end) — one
 // contiguous run of the group's cells. Maps run row-major (the ipt/burst
-// recurrences are inherently sequential); each owner state then consumes
-// its source column as one bulk call. Equivalent to per-cell UpdateGroup
-// calls under the exactness contract in streaming/batch.h.
+// recurrences are inherently sequential); each undamped owner then consumes
+// its source column as one bulk call, and the damped lanes take the rows in
+// order. Equivalent to per-cell UpdateGroup calls under the exactness
+// contract in streaming/batch.h.
 void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
                       PacketBatchSoA& soa, size_t begin, size_t end);
 
 // Emits the group's feature block for granularity index `gi` through the
-// plan's emit ops: every slot from its owner state, synthesize chains
-// applied, appended to `out` (grown once, then written at the ops'
-// offsets).
+// plan's emit ops: every undamped slot from its owner state, every damped
+// one from the lane statistics, synthesize chains applied, appended to
+// `out` (grown once, then written at the ops' offsets).
 void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
                        std::vector<double>& out);
 

@@ -16,24 +16,6 @@ double QuantizeFixedNonFinite(double v) {
 
 double RoundToFloat(double v) { return static_cast<float>(v); }
 
-}  // namespace damped_internal
-
-namespace {
-
-using damped_internal::Quantize;
-
-// The kNicFixedPoint decay factor: exp2 via a fractional LUT with linear
-// interpolation, emitted on the 16.16 grid; the exponent keeps full
-// fixed-point precision. `exact` is the unrounded 2^(-λ dt), at most 1 for
-// the validator's λ >= 0.
-double FixedFactor(double exact) {
-  const double scaled = exact * damped_internal::kFixedScale;
-  return (scaled < 4503599627370496.0 ? damped_internal::RoundToInteger(scaled)
-                                      : std::nearbyint(scaled)) /
-         damped_internal::kFixedScale;
-}
-
-// Decay factor 2^(-lambda dt) under the mode's arithmetic; 1 for dt <= 0.
 double DecayFactor(DampedMode mode, double lambda, double dt) {
   if (dt <= 0.0) {
     return 1.0;
@@ -49,68 +31,10 @@ double DecayFactor(DampedMode mode, double lambda, double dt) {
   return 1.0;
 }
 
-}  // namespace
+}  // namespace damped_internal
 
-DampedStep DampedWindow::Advance(double lambda, DampedMode mode, bool one_sided, bool two_sided,
-                                 const DampedClock& clock, double t_seconds, bool forward) {
-  DampedStep step;
-  step.forward = forward;
-  if (clock.started) {
-    step.decay_other = true;
-    if (t_seconds < clock.last_t) {
-      // Late sample: scaled by the decay it would have accumulated since
-      // its own timestamp (DampedStats::Add).
-      step.weight = DecayFactor(mode, lambda, clock.last_t - t_seconds);
-    } else {
-      step.decay_own = true;
-      const double dt = t_seconds - clock.last_t;
-      if (dt > 0.0) {
-        // One exp2 serves the residual and, rounded by the mode, the sides.
-        step.decay_residual = true;
-        step.residual = std::exp2(-lambda * dt);
-        switch (mode) {
-          case DampedMode::kExactDouble:
-            step.factor = step.residual;
-            break;
-          case DampedMode::kNicFixedPoint:
-            step.factor = FixedFactor(step.residual);
-            break;
-          case DampedMode::kFloat32:
-            step.factor = DecayFactor(mode, lambda, dt);
-            break;
-        }
-      }
-    }
-  }
-  const auto decay = [&](DampedSide side) { w_[side] = Quantize(mode, w_[side] * step.factor); };
-  const auto insert = [&](DampedSide side) {
-    const double new_w = Quantize(mode, w_[side] + step.weight);
-    step.insert[side] = mode != DampedMode::kNicFixedPoint || !(new_w <= 0.0);
-    if (step.insert[side]) {
-      w_[side] = new_w;
-    }
-  };
-  if (one_sided) {
-    if (step.decay_own) {
-      decay(kDampedUndirected);
-    }
-    insert(kDampedUndirected);
-  }
-  if (two_sided) {
-    const DampedSide own = forward ? kDampedA : kDampedB;
-    if (step.decay_other) {
-      decay(forward ? kDampedB : kDampedA);
-    }
-    if (step.decay_own) {
-      decay(own);
-    }
-    insert(own);
-  }
-  for (int side = 0; side < 3; ++side) {
-    step.w[side] = w_[side];
-  }
-  return step;
-}
+using damped_internal::DecayFactor;
+using damped_internal::Quantize;
 
 void DampedStats::DecayMoments(double factor) {
   if (mode_ == DampedMode::kNicFixedPoint) {
@@ -175,21 +99,6 @@ void DampedStats::Add(double x, double t_seconds) {
   AddWeighted(x, 1.0);
 }
 
-void DampedStats::ApplySide(const DampedStep& step, DampedSide side, bool decay, bool insert,
-                            double x) {
-  if (decay) {
-    DecayMoments(step.factor);
-  }
-  if (insert && step.insert[side]) {
-    InsertMoments(x, step.weight, step.w[side]);
-  }
-  w_ = step.w[side];
-}
-
-void DampedStats::Apply(double x, const DampedStep& step) {
-  ApplySide(step, kDampedUndirected, step.decay_own, /*insert=*/true, x);
-}
-
 double DampedStats::mean() const {
   if (w_ <= 0.0) {
     return 0.0;
@@ -242,26 +151,15 @@ void DampedStats2D::AddB(double x, double t_seconds) {
   sr_ += (0.0 - a_.mean()) * (x - b_.mean());
 }
 
-void DampedStats2D::Apply(double x, const DampedStep& step) {
-  if (step.decay_residual) {
-    sr_ *= step.residual;
-  }
-  if (step.forward) {
-    b_.ApplySide(step, kDampedB, step.decay_other, /*insert=*/false, x);
-    a_.ApplySide(step, kDampedA, step.decay_own, /*insert=*/true, x);
-    sr_ += (x - a_.mean()) * (0.0 - b_.mean());
-  } else {
-    a_.ApplySide(step, kDampedA, step.decay_other, /*insert=*/false, x);
-    b_.ApplySide(step, kDampedB, step.decay_own, /*insert=*/true, x);
-    sr_ += (0.0 - a_.mean()) * (x - b_.mean());
-  }
-}
-
-double DampedStats2D::MagnitudeOf(double mean_a, double mean_b) {
+double DampedStats2D::Magnitude() const {
+  const double mean_a = a_.mean();
+  const double mean_b = b_.mean();
   return std::sqrt(mean_a * mean_a + mean_b * mean_b);
 }
 
-double DampedStats2D::RadiusOf(double var_a, double var_b) {
+double DampedStats2D::Radius() const {
+  const double var_a = a_.variance();
+  const double var_b = b_.variance();
   return std::sqrt(var_a * var_a + var_b * var_b);
 }
 
@@ -270,12 +168,12 @@ double DampedStats2D::Covariance() const {
   return w > 0.0 ? sr_ / w : 0.0;
 }
 
-double DampedStats2D::CorrelationOf(double cov, double std_a, double std_b) {
-  const double denom = std_a * std_b;
+double DampedStats2D::CorrelationCoefficient() const {
+  const double denom = std::sqrt(a_.variance()) * std::sqrt(b_.variance());
   if (denom <= 0.0) {
     return 0.0;
   }
-  const double cc = cov / denom;
+  const double cc = Covariance() / denom;
   if (cc > 1.0) {
     return 1.0;
   }

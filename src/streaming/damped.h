@@ -16,11 +16,10 @@
 // Table 5 does not list damped variants explicitly; SuperFE supports them as
 // a `decay` parameter on reduce (documented in DESIGN.md §5).
 //
-// Each state can run on its own clock (Add, AddA/AddB), or as a member of a
-// DampedWindow: the states of one group that share a λ see the same samples
-// at the same times, so the window computes the decay factors and each
-// side's weight once per sample and every member applies that DampedStep
-// (docs/ARCHITECTURE.md, "Damped windows"). Both routes round identically.
+// These classes run each state on its own clock: the definitional oracle.
+// The executor keeps a group's damped states as lanes of one block
+// (streaming/damped_lanes.h), which share each λ's decay and weights and
+// must round exactly as these do.
 #ifndef SUPERFE_STREAMING_DAMPED_H_
 #define SUPERFE_STREAMING_DAMPED_H_
 
@@ -90,6 +89,18 @@ inline double QuantizeFixed(double v) {
 // line: a call the vectorizer cannot merge with another (see QuantizeFixed).
 [[gnu::noinline]] double RoundToFloat(double v);
 
+// The kNicFixedPoint decay factor: the exact factor 2^(-λ dt) (at most 1
+// for the validator's λ >= 0) on the 16.16 grid.
+inline double FixedFactor(double exact) {
+  const double scaled = exact * kFixedScale;
+  return (scaled < 4503599627370496.0 ? RoundToInteger(scaled) : std::nearbyint(scaled)) /
+         kFixedScale;
+}
+
+// The decay factor 2^(-lambda dt) under the mode's arithmetic; 1 for
+// dt <= 0.
+double DecayFactor(DampedMode mode, double lambda, double dt);
+
 // Applies the mode's rounding to a freshly computed state value.
 inline double Quantize(DampedMode mode, double v) {
   if (mode == DampedMode::kNicFixedPoint) {
@@ -102,60 +113,6 @@ inline double Quantize(DampedMode mode, double v) {
 }
 
 }  // namespace damped_internal
-
-// The group clock every damped state of a group shares: all of them see
-// every sample, so each one's last time is the latest sample time.
-struct DampedClock {
-  bool started = false;
-  double last_t = 0.0;
-
-  void Advance(double t_seconds) {
-    if (!started || t_seconds > last_t) {
-      last_t = t_seconds;
-    }
-    started = true;
-  }
-};
-
-// The sides of a damped window's weights.
-enum DampedSide : uint8_t {
-  kDampedUndirected = 0,  // 1D states.
-  kDampedA = 1,           // The forward side of 2D states.
-  kDampedB = 2,           // The backward side.
-};
-
-// What one sample does to every state of one damped window.
-struct DampedStep {
-  bool forward = true;          // Sample side of 2D states: A, else B.
-  bool decay_own = false;       // The sample's side decays before the
-                                // insert: neither a first nor a late sample.
-  bool decay_other = false;     // The other side decays: not a first sample.
-  bool decay_residual = false;  // 2D residual sums decay: time moved on.
-  double factor = 1.0;          // Side decay factor (1 for ties and late
-                                // samples), mode-rounded.
-  double residual = 1.0;        // 2^(-λ dt), unrounded, for the residual.
-  double weight = 1.0;          // The sample's weight: the decay since its
-                                // own time for a late sample, else 1.
-  // Per DampedSide: the insert proceeds (fixed point drops a sample whose
-  // weight rounds to 0), and the side's weight after the sample.
-  bool insert[3] = {false, false, false};
-  double w[3] = {0.0, 0.0, 0.0};
-};
-
-// The shared part of one (group, λ) damped window: the weight of each side.
-// The states hold the rest (mean and second moment, or LS and SS, and the
-// 2D residual sum).
-class DampedWindow {
- public:
-  // Advances the window by a sample at t_seconds. `clock` is the group clock
-  // before this sample; `one_sided`/`two_sided` say which weights the
-  // window's states read.
-  DampedStep Advance(double lambda, DampedMode mode, bool one_sided, bool two_sided,
-                     const DampedClock& clock, double t_seconds, bool forward);
-
- private:
-  double w_[3] = {0.0, 0.0, 0.0};
-};
 
 // One-dimensional damped statistics.
 class DampedStats {
@@ -170,10 +127,6 @@ class DampedStats {
 
   // Decays state to time t without inserting.
   void DecayTo(double t_seconds);
-
-  // Window route: applies a step of the window this (undirected) state
-  // belongs to, inserting x.
-  void Apply(double x, const DampedStep& step);
 
   double weight() const { return w_; }
   double linear_sum() const;
@@ -190,9 +143,6 @@ class DampedStats {
   // which needs the new weight.
   void DecayMoments(double factor);
   void InsertMoments(double x, double weight, double new_w);
-  // Window route for one side: decays (when `decay`), inserts (when
-  // `insert`), and takes the window's weight for `side`.
-  void ApplySide(const DampedStep& step, DampedSide side, bool decay, bool insert, double x);
 
   double lambda_;
   DampedMode mode_;
@@ -222,29 +172,17 @@ class DampedStats2D {
   void AddA(double x, double t_seconds);
   void AddB(double x, double t_seconds);
 
-  // Window route: applies a step of the window this state belongs to,
-  // inserting x into the step's side.
-  void Apply(double x, const DampedStep& step);
-
   const DampedStats& a() const { return a_; }
   const DampedStats& b() const { return b_; }
 
   // sqrt(mean_a^2 + mean_b^2)
-  double Magnitude() const { return MagnitudeOf(a_.mean(), b_.mean()); }
+  double Magnitude() const;
   // sqrt(var_a^2 + var_b^2)
-  double Radius() const { return RadiusOf(a_.variance(), b_.variance()); }
+  double Radius() const;
   // Approximate covariance: SR / (w_a + w_b).
   double Covariance() const;
   // Correlation coefficient: cov / (std_a * std_b); 0 when degenerate.
-  double CorrelationCoefficient() const {
-    return CorrelationOf(Covariance(), std::sqrt(a_.variance()), std::sqrt(b_.variance()));
-  }
-
-  // The 2D statistics from each side's moments, for callers that compute
-  // those once for several statistics.
-  static double MagnitudeOf(double mean_a, double mean_b);
-  static double RadiusOf(double var_a, double var_b);
-  static double CorrelationOf(double cov, double std_a, double std_b);
+  double CorrelationCoefficient() const;
 
  private:
   void DecayResidual(double t_seconds);

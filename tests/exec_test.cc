@@ -39,14 +39,14 @@ TEST(ReducerTest, SumMinMax) {
   Reducer mn(ReduceSpec{ReduceFn::kMin}, kExact, false);
   Reducer mx(ReduceSpec{ReduceFn::kMax}, kExact, false);
   for (double v : {5.0, 1.0, 9.0, 3.0}) {
-    sum.Update(v, 0.0, Direction::kForward);
-    mn.Update(v, 0.0, Direction::kForward);
-    mx.Update(v, 0.0, Direction::kForward);
+    sum.Update(v);
+    mn.Update(v);
+    mx.Update(v);
   }
   std::vector<double> out;
-  sum.Emit(out);
-  mn.Emit(out);
-  mx.Emit(out);
+  sum.EmitAs(ReduceSpec{ReduceFn::kSum}, out);
+  mn.EmitAs(ReduceSpec{ReduceFn::kMin}, out);
+  mx.EmitAs(ReduceSpec{ReduceFn::kMax}, out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0], 18.0);
   EXPECT_DOUBLE_EQ(out[1], 1.0);
@@ -59,14 +59,14 @@ TEST(ReducerTest, MeanVarStdExact) {
   Reducer var(ReduceSpec{ReduceFn::kVar}, kExact, false);
   Reducer std_r(ReduceSpec{ReduceFn::kStd}, kExact, false);
   for (double x : xs) {
-    mean.Update(x, 0.0, Direction::kForward);
-    var.Update(x, 0.0, Direction::kForward);
-    std_r.Update(x, 0.0, Direction::kForward);
+    mean.Update(x);
+    var.Update(x);
+    std_r.Update(x);
   }
   std::vector<double> out;
-  mean.Emit(out);
-  var.Emit(out);
-  std_r.Emit(out);
+  mean.EmitAs(ReduceSpec{ReduceFn::kMean}, out);
+  var.EmitAs(ReduceSpec{ReduceFn::kVar}, out);
+  std_r.EmitAs(ReduceSpec{ReduceFn::kStd}, out);
   EXPECT_DOUBLE_EQ(out[0], 5.0);
   EXPECT_DOUBLE_EQ(out[1], 4.0);
   EXPECT_DOUBLE_EQ(out[2], 2.0);
@@ -78,36 +78,45 @@ TEST(ReducerTest, NicArithmeticCloseToExact) {
   Reducer nic(ReduceSpec{ReduceFn::kMean}, kNic, false);
   for (int i = 0; i < 20000; ++i) {
     const double x = rng.Bernoulli(0.8) ? 1514.0 : 64.0;
-    exact.Update(x, i * 0.001, Direction::kForward);
-    nic.Update(x, i * 0.001, Direction::kForward);
+    exact.Update(x);
+    nic.Update(x);
   }
   std::vector<double> e;
   std::vector<double> n;
-  exact.Emit(e);
-  nic.Emit(n);
+  exact.EmitAs(ReduceSpec{ReduceFn::kMean}, e);
+  nic.EmitAs(ReduceSpec{ReduceFn::kMean}, n);
   EXPECT_LT(RelativeError(n[0], e[0]), 0.04);
 }
 
 TEST(ReducerTest, DampedSumIsWeightForOnes) {
-  ReduceSpec spec{ReduceFn::kSum};
-  spec.decay_lambda = 1.0;
-  Reducer r(spec, kExact, false);
-  r.Update(1.0, 0.0, Direction::kForward);
-  r.Update(1.0, 1.0, Direction::kForward);  // First sample decayed to 0.5.
+  // A damped owner is a lane of the group's damped block, driven by
+  // UpdateGroup.
+  const ExecPlan plan = PlanFor(R"(
+pktstream
+  .groupby(flow)
+  .map(one, _, f_one)
+  .reduce(one, [f_sum{decay=1}])
+  .collect(flow)
+)");
+  GroupState group = GroupState::Make(plan, 0, kExact);
+  UpdateGroup(plan, 0, group, Cell(100, 0));
+  UpdateGroup(plan, 0, group, Cell(100, 1000000000));  // First sample decayed to 0.5.
   std::vector<double> out;
-  r.Emit(out);
+  EmitGroupFeatures(plan, 0, group, out);
+  ASSERT_EQ(out.size(), 1u);
   EXPECT_NEAR(out[0], 1.5, 1e-9);
 }
 
 TEST(ReducerTest, CardinalityViaHll) {
-  Reducer r(ReduceSpec{ReduceFn::kCard}, kNic, false);
+  const ReduceSpec spec{ReduceFn::kCard};
+  Reducer r(spec, kNic, false);
   for (int rep = 0; rep < 10; ++rep) {
     for (int v = 0; v < 40; ++v) {
-      r.Update(v, 0.0, Direction::kForward);
+      r.Update(v);
     }
   }
   std::vector<double> out;
-  r.Emit(out);
+  r.EmitAs(spec, out);
   EXPECT_NEAR(out[0], 40.0, 12.0);
 }
 
@@ -115,10 +124,10 @@ TEST(ReducerTest, ArrayPadsToLimit) {
   ReduceSpec spec{ReduceFn::kArray};
   spec.array_limit = 5;
   Reducer r(spec, kNic, false);
-  r.Update(1.0, 0.0, Direction::kForward);
-  r.Update(-1.0, 0.0, Direction::kForward);
+  r.Update(1.0);
+  r.Update(-1.0);
   std::vector<double> out;
-  r.Emit(out);
+  r.EmitAs(spec, out);
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out[0], 1.0);
   EXPECT_EQ(out[1], -1.0);
@@ -130,10 +139,10 @@ TEST(ReducerTest, ArrayTruncatesAtLimit) {
   spec.array_limit = 3;
   Reducer r(spec, kNic, false);
   for (int i = 0; i < 10; ++i) {
-    r.Update(i, 0.0, Direction::kForward);
+    r.Update(i);
   }
   std::vector<double> out;
-  r.Emit(out);
+  r.EmitAs(spec, out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2], 2.0);
 }
@@ -143,11 +152,11 @@ TEST(ReducerTest, HistogramCounts) {
   spec.param0 = 10.0;
   spec.param1 = 4.0;
   Reducer r(spec, kNic, false);
-  r.Update(5.0, 0.0, Direction::kForward);
-  r.Update(15.0, 0.0, Direction::kForward);
-  r.Update(15.0, 0.0, Direction::kForward);
+  r.Update(5.0);
+  r.Update(15.0);
+  r.Update(15.0);
   std::vector<double> out;
-  r.Emit(out);
+  r.EmitAs(spec, out);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0], 1.0);
   EXPECT_EQ(out[1], 2.0);
@@ -164,13 +173,13 @@ TEST(ReducerTest, PdfCdfNormalized) {
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) {
     const double v = rng.UniformDouble(0, 40);
-    pdf.Update(v, 0.0, Direction::kForward);
-    cdf.Update(v, 0.0, Direction::kForward);
+    pdf.Update(v);
+    cdf.Update(v);
   }
   std::vector<double> p;
   std::vector<double> c;
-  pdf.Emit(p);
-  cdf.Emit(c);
+  pdf.EmitAs(pdf_spec, p);
+  cdf.EmitAs(cdf_spec, c);
   double sum = 0.0;
   for (double v : p) {
     sum += v;
@@ -185,10 +194,10 @@ TEST(ReducerTest, PercentileLogScale) {
   Reducer r(spec, kNic, false);
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {
-    r.Update(rng.UniformDouble(0, 1000), 0.0, Direction::kForward);
+    r.Update(rng.UniformDouble(0, 1000));
   }
   std::vector<double> out;
-  r.Emit(out);
+  r.EmitAs(spec, out);
   // Log-scale estimate of the median of U(0,1000): within its bucket
   // (256-512 covers the true 500).
   EXPECT_GT(out[0], 200.0);
@@ -196,14 +205,20 @@ TEST(ReducerTest, PercentileLogScale) {
 }
 
 TEST(ReducerTest, BidirectionalSplitsByDirection) {
-  ReduceSpec spec{ReduceFn::kMag};
-  Reducer r(spec, kExact, false);
-  for (int i = 0; i < 100; ++i) {
-    r.Update(3.0, i * 0.001, Direction::kForward);
-    r.Update(4.0, i * 0.001, Direction::kBackward);
+  const ExecPlan plan = PlanFor(R"(
+pktstream
+  .groupby(flow)
+  .reduce(size, [f_mag])
+  .collect(flow)
+)");
+  GroupState group = GroupState::Make(plan, 0, kExact);
+  for (uint64_t i = 0; i < 100; ++i) {
+    UpdateGroup(plan, 0, group, Cell(3.0, i * 1000000, Direction::kForward));
+    UpdateGroup(plan, 0, group, Cell(4.0, i * 1000000, Direction::kBackward));
   }
   std::vector<double> out;
-  r.Emit(out);
+  EmitGroupFeatures(plan, 0, group, out);
+  ASSERT_EQ(out.size(), 1u);
   EXPECT_NEAR(out[0], 5.0, 1e-6);
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -39,7 +41,7 @@ ExecPlan PlanFor(const std::string& source) {
 // Every reducing function, several members per family, and neighbours that
 // must not share: another λ, another bucket width or count, another array
 // limit, another source field. The synthesized f_array{6} shares its state
-// with the plain one.
+// with the plain one; the synthesized damped f_std reads a lane.
 std::string EveryFunctionPolicy(const std::string& g) {
   return R"(
 pktstream
@@ -48,6 +50,8 @@ pktstream
   .map(dsize, size, f_direction)
   .reduce(dsize, [f_array{6}])
   .synthesize(f_norm(dsize.f_array))
+  .reduce(size, [f_std{decay=1}])
+  .synthesize(ft_sample(size.f_std, 3))
   .collect()" + g + R"()
   .reduce(one, [f_sum, f_sum{decay=1}, f_sum{decay=0.1}])
   .reduce(size, [f_sum, f_mean, f_var, f_std, f_min, f_max, f_skew, f_kur])
@@ -87,65 +91,164 @@ std::vector<MgpvCell> GroupCells(uint64_t seed, size_t n) {
   return cells;
 }
 
-// The value of a test policy's source field for one packet.
-double FieldValue(const std::string& field, double size, double dir_sign) {
+// The value of a test policy's source field for one packet; ipt is the
+// packet's gap to the last packet of its direction in the group.
+double FieldValue(const std::string& field, double size, double dir_sign, double ipt) {
   if (field == "one") {
     return 1.0;
   }
   if (field == "dsize") {
     return size * dir_sign;
   }
+  if (field == "ipt") {
+    return ipt;
+  }
   return size;
 }
 
-// The pre-fusion layout: one standalone Reducer per slot.
+// The pre-fusion layout: one standalone state per slot — a Reducer for an
+// undamped slot, DampedStats or DampedStats2D on its own clock for a damped
+// one (the definitional oracle of the damped lanes).
 struct PerSlotReducers {
   PerSlotReducers(const ExecPlan::GranularityPlan& gp, const ExecOptions& options) : gp(gp) {
+    const bool directional = gp.granularity != Granularity::kFlow;
+    const DampedMode mode = options.EffectiveDampedMode();
     for (const auto& slot : gp.slots) {
-      reducers.emplace_back(slot.spec, options, gp.granularity != Granularity::kFlow);
+      State state;
+      switch (Reducer::Family(slot.spec, directional)) {
+        case StateFamily::kDamped1D:
+          state.one_sided.emplace(slot.spec.decay_lambda, mode);
+          break;
+        case StateFamily::kDamped2D:
+          state.two_sided.emplace(slot.spec.decay_lambda, mode);
+          break;
+        default:
+          state.reducer.emplace(slot.spec, options, directional);
+          break;
+      }
+      states.push_back(std::move(state));
     }
+  }
+
+  // One packet: the slots' samples, then the per-direction ipt recurrence.
+  void Add(double size, double t_ns, Direction dir) {
+    const double dir_sign = dir == Direction::kForward ? 1.0 : -1.0;
+    double& last_ts = last_tstamp_ns[static_cast<int>(dir)];
+    const double ipt = last_ts < 0.0 ? 0.0 : t_ns - last_ts;
+    const double t_seconds = t_ns * 1e-9;
+    for (size_t i = 0; i < states.size(); ++i) {
+      State& state = states[i];
+      const double value = FieldValue(gp.slots[i].field, size, dir_sign, ipt);
+      if (state.one_sided) {
+        state.one_sided->Add(value, t_seconds);
+      } else if (state.two_sided) {
+        if (dir == Direction::kForward) {
+          state.two_sided->AddA(value, t_seconds);
+        } else {
+          state.two_sided->AddB(value, t_seconds);
+        }
+      } else {
+        state.reducer->Update(value);
+      }
+    }
+    last_ts = t_ns;
+    last_direction = dir;
   }
 
   void Update(const MgpvCell& cell) {
-    const double dir_sign = cell.direction == Direction::kForward ? 1.0 : -1.0;
-    const double t_seconds = static_cast<double>(cell.full_timestamp_ns) * 1e-9;
-    for (size_t i = 0; i < reducers.size(); ++i) {
-      reducers[i].Update(FieldValue(gp.slots[i].field, cell.size, dir_sign), t_seconds,
-                         cell.direction);
-    }
-    last_direction = cell.direction;
+    Add(cell.size, static_cast<double>(cell.full_timestamp_ns), cell.direction);
   }
 
+  // The batch rows in order: each undamped slot takes its column as one
+  // bulk call, like UpdateGroupBatch; the damped states take the rows one by
+  // one.
   void UpdateBatch(const PacketBatchSoA& soa) {
     const size_t n = soa.rows();
+    std::vector<double> ipt(n);
+    for (size_t r = 0; r < n; ++r) {
+      double& last_ts = last_tstamp_ns[static_cast<int>(soa.direction[r])];
+      ipt[r] = last_ts < 0.0 ? 0.0 : soa.tstamp_ns[r] - last_ts;
+      last_ts = soa.tstamp_ns[r];
+    }
     std::vector<double> column(n);
     std::vector<uint64_t> scratch;
-    for (size_t i = 0; i < reducers.size(); ++i) {
+    for (size_t i = 0; i < states.size(); ++i) {
+      State& state = states[i];
       for (size_t r = 0; r < n; ++r) {
-        column[r] = FieldValue(gp.slots[i].field, soa.pkt_size[r], soa.dir_sign[r]);
+        column[r] = FieldValue(gp.slots[i].field, soa.pkt_size[r], soa.dir_sign[r], ipt[r]);
       }
-      reducers[i].UpdateBatch(column.data(), soa.t_seconds.data(), soa.dir_sign.data(), n,
-                              scratch);
+      if (state.reducer) {
+        state.reducer->UpdateBatch(column.data(), n, scratch);
+        continue;
+      }
+      for (size_t r = 0; r < n; ++r) {
+        if (state.one_sided) {
+          state.one_sided->Add(column[r], soa.t_seconds[r]);
+        } else if (soa.direction[r] == Direction::kForward) {
+          state.two_sided->AddA(column[r], soa.t_seconds[r]);
+        } else {
+          state.two_sided->AddB(column[r], soa.t_seconds[r]);
+        }
+      }
     }
     last_direction = soa.direction[n - 1];
   }
 
   std::vector<double> Emit() const {
     std::vector<double> out;
-    for (size_t i = 0; i < reducers.size(); ++i) {
+    for (size_t i = 0; i < states.size(); ++i) {
+      const FeatureSlot& slot = gp.slots[i];
       std::vector<double> block;
-      reducers[i].Emit(block, last_direction);
-      for (const auto& step : gp.slots[i].synths) {
+      if (states[i].reducer) {
+        states[i].reducer->EmitAs(slot.spec, block);
+      } else {
+        block.push_back(DampedValue(states[i], slot.spec.fn));
+      }
+      for (const auto& step : slot.synths) {
         block = ApplySynth(step, std::move(block));
       }
-      block.resize(gp.slots[i].Width(), 0.0);
+      block.resize(slot.Width(), 0.0);
       out.insert(out.end(), block.begin(), block.end());
     }
     return out;
   }
 
+  struct State {
+    std::optional<Reducer> reducer;
+    std::optional<DampedStats> one_sided;
+    std::optional<DampedStats2D> two_sided;
+  };
+
+  // A damped slot's value: the side statistics of a two-sided state read the
+  // last packet's side.
+  double DampedValue(const State& state, ReduceFn fn) const {
+    const DampedStats& side =
+        state.one_sided ? *state.one_sided
+                        : (last_direction == Direction::kForward ? state.two_sided->a()
+                                                                  : state.two_sided->b());
+    switch (fn) {
+      case ReduceFn::kSum:
+        return side.linear_sum();
+      case ReduceFn::kMean:
+        return side.mean();
+      case ReduceFn::kVar:
+        return side.variance();
+      case ReduceFn::kStd:
+        return std::sqrt(side.variance());
+      case ReduceFn::kMag:
+        return state.two_sided->Magnitude();
+      case ReduceFn::kRadius:
+        return state.two_sided->Radius();
+      case ReduceFn::kCov:
+        return state.two_sided->Covariance();
+      default:
+        return state.two_sided->CorrelationCoefficient();
+    }
+  }
+
   const ExecPlan::GranularityPlan& gp;
-  std::vector<Reducer> reducers;
+  std::vector<State> states;
+  double last_tstamp_ns[2] = {-1.0, -1.0};
   Direction last_direction = Direction::kForward;
 };
 
@@ -177,6 +280,49 @@ ExecOptions OptionsNamed(const std::string& name) {
 class FusionTest
     : public ::testing::TestWithParam<std::tuple<std::string, std::string, bool>> {};
 
+// Feeds `cells` to one fused group and one per-slot oracle per granularity
+// of `plan`, in reports of varying length, and compares their emission bit
+// for bit after every report.
+void ExpectFusedMatchesPerSlot(const ExecPlan& plan, const ExecOptions& options, bool batch,
+                               const std::vector<MgpvCell>& cells) {
+  std::vector<GroupState> fused;
+  std::vector<PerSlotReducers> oracles;
+  for (size_t gi = 0; gi < plan.per_granularity.size(); ++gi) {
+    fused.push_back(GroupState::Make(plan, gi, options));
+    oracles.emplace_back(plan.per_granularity[gi], options);
+  }
+  Rng rng(5);
+  size_t begin = 0;
+  int report_index = 0;
+  while (begin < cells.size()) {
+    const size_t end = std::min(cells.size(), begin + 1 + rng.UniformU64(60));
+    MgpvReport report;
+    report.cells.assign(cells.begin() + begin, cells.begin() + end);
+    for (size_t gi = 0; gi < plan.per_granularity.size(); ++gi) {
+      const auto& gp = plan.per_granularity[gi];
+      if (batch) {
+        PacketBatchSoA soa;
+        soa.Assemble(&report, 1);
+        soa.SortByPrefix(PacketBatchSoA::KeyPrefixBytes(gp.granularity));
+        UpdateGroupBatch(plan, gi, fused[gi], soa, 0, soa.rows());
+        oracles[gi].UpdateBatch(soa);
+      } else {
+        for (const auto& cell : report.cells) {
+          UpdateGroup(plan, gi, fused[gi], cell);
+          oracles[gi].Update(cell);
+        }
+      }
+      std::vector<double> out;
+      EmitGroupFeatures(plan, gi, fused[gi], out);
+      ExpectBitIdentical(out, oracles[gi].Emit(), gp,
+                         "granularity " + std::to_string(gi) + ", report " +
+                             std::to_string(report_index));
+    }
+    begin = end;
+    ++report_index;
+  }
+}
+
 TEST_P(FusionTest, FusedEmissionMatchesPerSlotReducers) {
   const std::string granularity = std::get<0>(GetParam());
   const ExecOptions options = OptionsNamed(std::get<1>(GetParam()));
@@ -186,38 +332,8 @@ TEST_P(FusionTest, FusedEmissionMatchesPerSlotReducers) {
   ASSERT_EQ(plan.per_granularity.size(), 1u);
   const auto& gp = plan.per_granularity[0];
   ASSERT_LT(gp.owners.size(), gp.slots.size());
-
-  GroupState fused = GroupState::Make(plan, 0, options);
-  ASSERT_EQ(fused.reducers.size(), gp.owners.size());
-  PerSlotReducers oracle(gp, options);
-
-  // Reports of varying length; the state is compared after every one.
-  const std::vector<MgpvCell> cells = GroupCells(17, 600);
-  Rng rng(5);
-  size_t begin = 0;
-  int report_index = 0;
-  while (begin < cells.size()) {
-    const size_t end = std::min(cells.size(), begin + 1 + rng.UniformU64(60));
-    MgpvReport report;
-    report.cells.assign(cells.begin() + begin, cells.begin() + end);
-    if (batch) {
-      PacketBatchSoA soa;
-      soa.Assemble(&report, 1);
-      soa.SortByPrefix(PacketBatchSoA::KeyPrefixBytes(gp.granularity));
-      UpdateGroupBatch(plan, 0, fused, soa, 0, soa.rows());
-      oracle.UpdateBatch(soa);
-    } else {
-      for (const auto& cell : report.cells) {
-        UpdateGroup(plan, 0, fused, cell);
-        oracle.Update(cell);
-      }
-    }
-    std::vector<double> out;
-    EmitGroupFeatures(plan, 0, fused, out);
-    ExpectBitIdentical(out, oracle.Emit(), gp, "report " + std::to_string(report_index));
-    begin = end;
-    ++report_index;
-  }
+  ASSERT_EQ(GroupState::Make(plan, 0, options).reducers.size(), gp.undamped.size());
+  ExpectFusedMatchesPerSlot(plan, options, batch, GroupCells(17, 600));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -258,19 +374,21 @@ pktstream
 
   const ExecOptions options;
   GroupState group = GroupState::Make(plan, 0, options);
-  Reducer mean(gp.slots[1].spec, options, /*directional=*/true);
+  DampedStats2D mean(gp.slots[1].spec.decay_lambda, options.EffectiveDampedMode());
   for (const auto& cell : TwoSidedCells()) {
     UpdateGroup(plan, 0, group, cell);
-    mean.Update(cell.size, static_cast<double>(cell.full_timestamp_ns) * 1e-9, cell.direction);
+    const double t_seconds = static_cast<double>(cell.full_timestamp_ns) * 1e-9;
+    if (cell.direction == Direction::kForward) {
+      mean.AddA(cell.size, t_seconds);
+    } else {
+      mean.AddB(cell.size, t_seconds);
+    }
   }
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
   ASSERT_EQ(out.size(), 3u);
-  std::vector<double> backward, forward;
-  mean.Emit(backward, Direction::kBackward);
-  mean.Emit(forward, Direction::kForward);
-  EXPECT_EQ(out[1], backward[0]);
-  EXPECT_NE(out[1], forward[0]);
+  EXPECT_EQ(out[1], mean.b().mean());
+  EXPECT_NE(out[1], mean.a().mean());
   EXPECT_NEAR(out[1], 100.0, 1.0);  // The backward side's sizes.
 }
 
@@ -285,13 +403,13 @@ pktstream
 )");
   const auto& gp = plan.per_granularity[0];
   ASSERT_EQ(gp.owners.size(), 2u);
-  std::vector<uint32_t> owner_of(gp.slots.size());
-  for (const auto* ops : {&gp.emit_ops, &gp.synthesized_ops}) {
-    for (const EmitOp& op : *ops) {
-      owner_of[op.slot] = op.owner;
-    }
+  // The lane each slot reads (one-sided lanes first).
+  ASSERT_EQ(gp.lane_ops.size(), gp.slots.size());
+  std::vector<uint32_t> lane_of(gp.slots.size());
+  for (const LaneOp& op : gp.lane_ops) {
+    lane_of[op.offset] = op.stat % gp.lanes.lanes();
   }
-  EXPECT_EQ(owner_of, (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_EQ(lane_of, (std::vector<uint32_t>{0, 1, 0}));
 
   const ExecOptions options;
   GroupState group = GroupState::Make(plan, 0, options);
@@ -328,14 +446,13 @@ TEST(FusionOwnerTest, ShippedPoliciesOwnerCounts) {
   EXPECT_EQ(OwnersAndSlots(PlanFor(source.str())), Counts(5, 9));
 }
 
-// Damped windows and the damped states they hold, over all granularities.
+// Damped windows and the damped states (lanes) they hold, over all
+// granularities.
 std::pair<size_t, size_t> WindowsAndStates(const ExecPlan& plan) {
   size_t windows = 0, states = 0;
   for (const auto& gp : plan.per_granularity) {
-    windows += gp.windows.size();
-    for (const auto& window : gp.windows) {
-      states += window.owners.size();
-    }
+    windows += gp.lanes.windows();
+    states += gp.lanes.lanes();
   }
   return {windows, states};
 }
@@ -355,25 +472,78 @@ TEST(FusionWindowTest, WindowsKeyOnLambdaAndHoldBothSides) {
   // undamped f_mag/f_pcc state is a window of its own (λ = 0).
   const ExecPlan plan = PlanFor(EveryFunctionPolicy("flow"));
   const auto& gp = plan.per_granularity[0];
-  std::vector<double> lambdas;
-  for (const auto& window : gp.windows) {
-    lambdas.push_back(window.lambda);
-    for (uint32_t owner : window.owners) {
-      EXPECT_EQ(gp.owners[owner].spec.decay_lambda, window.lambda);
+  EXPECT_EQ(gp.lanes.lambdas, (std::vector<double>{1.0, 0.1, 0.0}));
+  // Each lane's owner, by its place in the statistics.
+  std::vector<const ExecPlan::ReduceStep*> owner_of(gp.lanes.lanes(), nullptr);
+  for (const auto& owner : gp.owners) {
+    if (owner.damped) {
+      owner_of[owner.state] = &owner;
     }
   }
-  EXPECT_EQ(lambdas, (std::vector<double>{1.0, 0.1, 0.0}));
-  const auto& one = gp.windows[0];
-  EXPECT_TRUE(one.one_sided);
-  EXPECT_TRUE(one.two_sided);
   std::set<StateFamily> families;
-  for (uint32_t owner : one.owners) {
-    families.insert(Reducer::Family(gp.owners[owner].spec, /*directional=*/false));
+  for (const damped_lanes::Run& run : gp.lanes.runs) {
+    for (uint32_t k = 0; k < run.count; ++k) {
+      const ExecPlan::ReduceStep* owner = owner_of[gp.lanes.StatsLane(run, k)];
+      ASSERT_NE(owner, nullptr);
+      EXPECT_EQ(owner->spec.decay_lambda, gp.lanes.lambdas[run.window + k]);
+      EXPECT_EQ(owner->src, static_cast<int>(run.input));
+      if (run.window + k == 0) {
+        families.insert(Reducer::Family(owner->spec, /*directional=*/false));
+      }
+    }
   }
   EXPECT_EQ(families, (std::set<StateFamily>{StateFamily::kDamped1D, StateFamily::kDamped2D}));
   // Every other owner is updated outside the windows.
   EXPECT_EQ(WindowsAndStates(plan).second + gp.undamped.size(), gp.owners.size());
 }
+
+// Damped lanes against the per-slot oracle on many windows: (mode, batch).
+class FusionWindowTest : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(FusionWindowTest, KitsuneShapedLanesMatchPerSlotStates) {
+  // Five λ at host, channel and socket; runs of five two-sided lanes.
+  const ExecPlan plan = PlanFor(KitsunePolicy());
+  ASSERT_EQ(plan.per_granularity.size(), 3u);
+  for (const auto& gp : plan.per_granularity) {
+    EXPECT_EQ(gp.lanes.windows(), 5u);
+    EXPECT_EQ(gp.lanes.lanes1, 0u);
+  }
+  ExpectFusedMatchesPerSlot(plan, OptionsNamed(std::get<0>(GetParam())),
+                            std::get<1>(GetParam()), GroupCells(23, 600));
+}
+
+TEST_P(FusionWindowTest, FlowMixesOneAndTwoSidedLanes) {
+  // At flow the damped 1D statistics are one-sided lanes and the 2D ones
+  // two-sided, over five λ; ipt skips two of them, so its runs split.
+  std::string source = "\npktstream\n  .groupby(flow)\n  .map(one, _, f_one)\n"
+                       "  .map(ipt, tstamp, f_ipt)\n";
+  for (const char* l : {"5", "3", "1", "0.1", "0.01"}) {
+    const std::string d = std::string("{decay=") + l + "}";
+    source += "  .reduce(one, [f_sum" + d + "])\n";
+    source += "  .reduce(size, [f_mean" + d + ", f_std" + d + ", f_mag" + d + ", f_radius" + d +
+              ", f_cov" + d + ", f_pcc" + d + "])\n";
+    if (std::string(l) != "3" && std::string(l) != "0.01") {
+      source += "  .reduce(ipt, [f_var" + d + ", f_sum" + d + "])\n";
+    }
+  }
+  source += "  .collect(flow)\n";
+  const ExecPlan plan = PlanFor(source);
+  ASSERT_EQ(plan.per_granularity.size(), 1u);
+  const auto& lanes = plan.per_granularity[0].lanes;
+  EXPECT_EQ(lanes.windows(), 5u);
+  EXPECT_EQ(lanes.lanes1, 13u);
+  EXPECT_EQ(lanes.lanes2, 5u);
+  EXPECT_EQ(lanes.runs.size(), 5u);  // one, size, ipt {5}, ipt {1, 0.1}; size 2D.
+  ExpectFusedMatchesPerSlot(plan, OptionsNamed(std::get<0>(GetParam())),
+                            std::get<1>(GetParam()), GroupCells(29, 600));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, FusionWindowTest,
+    ::testing::Combine(::testing::Values("nic", "exact", "float32"), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<FusionWindowTest::ParamType>& info) {
+      return std::get<0>(info.param) + (std::get<1>(info.param) ? "_batch" : "_scalar");
+    });
 
 }  // namespace
 }  // namespace superfe

@@ -18,6 +18,7 @@
 #include "policy/parser.h"
 #include "streaming/batch.h"
 #include "streaming/damped.h"
+#include "streaming/damped_lanes.h"
 #include "streaming/histogram.h"
 #include "streaming/hyperloglog.h"
 #include "streaming/moments.h"
@@ -254,7 +255,7 @@ pktstream
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   auto plan = ExecPlan::FromProgram(compiled->nic_program);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan->per_granularity[0].windows.size(), 1u);
+  ASSERT_EQ(plan->per_granularity[0].lanes.windows(), 1u);
 
   Rng rng(GetParam() ^ 0xb2);
   std::vector<MgpvCell> cells(1500);
@@ -517,6 +518,154 @@ TEST_P(SeededTest, SimdFallbackIsBitIdentical) {
   EXPECT_EQ(simd.hi, scalar.hi);
   EXPECT_EQ(simd.buckets, scalar.buckets);
   EXPECT_EQ(simd.hashes, scalar.hashes);
+}
+
+// The FixedPointRoundingMatchesLibm inputs for `seed`, plus the edge cases.
+std::vector<double> RoundingInputs(uint64_t seed) {
+  Rng rng(seed ^ 0xc1);
+  std::vector<double> vs;
+  for (int i = 0; i < 200000; ++i) {
+    const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    vs.push_back(sign * std::exp2(rng.UniformDouble(-20.0, 130.0)));
+    const double k = static_cast<double>(rng.UniformU64(uint64_t{1} << 40));
+    vs.push_back(sign * (k + 0.5) / 65536.0);
+    const double mantissa = static_cast<double>((uint64_t{1} << 23) + rng.UniformU64(1 << 23));
+    vs.push_back(sign * std::ldexp(mantissa + 0.5, static_cast<int>(rng.UniformU64(110))));
+    rng.UniformU64(uint64_t{1} << 51);  // The RoundToInteger draws, kept in step.
+    if (!rng.Bernoulli(0.5)) {
+      rng.UniformDouble(0.0, 1.0);
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {0.0, std::numeric_limits<double>::denorm_min(), 1e-310, DBL_MIN,
+                   0.5 / 65536.0, 1.5 / 65536.0, std::nextafter(16777216.0, 0.0), 16777216.0,
+                   std::nextafter(16777216.0, inf), 16777216.0 + 3.0, double{FLT_MAX}, DBL_MAX,
+                   inf, std::nan("")}) {
+    vs.push_back(v);
+    vs.push_back(-v);
+  }
+  return vs;
+}
+
+TEST_P(SeededTest, DampedLaneKernelsMatchAcrossSimdLevels) {
+  // Every dispatch level must give the scalar reference's bits: the vector
+  // rounding, and the lane block and statistics after each sample, in
+  // every mode. One- and two-sided runs over six windows (a vector of four
+  // and a tail), every tier; samples with ties, late samples, a gap that
+  // decays the weights to 0 and a late backward sample whose weight rounds
+  // to 0 there (a masked insert), ±0, subnormals, both sides of 2^24, and a
+  // lane fed ±inf and NaN.
+  const uint64_t seed = GetParam();
+  damped_lanes::Plan plan;
+  plan.lambdas = {5.0, 3.0, 1.0, 0.1, 0.01, 0.0};
+  plan.runs = {
+      {.lane = 0, .window = 0, .count = 6, .input = 0, .tier = damped_lanes::kTierVar},
+      {.lane = 6, .window = 1, .count = 3, .input = 1, .tier = damped_lanes::kTierMean},
+      {.lane = 0, .window = 0, .count = 6, .input = 0, .two_sided = true,
+       .tier = damped_lanes::kTierPair},
+      {.lane = 6, .window = 1, .count = 5, .input = 2, .two_sided = true,
+       .tier = damped_lanes::kTierPair},
+      {.lane = 11, .window = 2, .count = 4, .input = 1, .two_sided = true,
+       .tier = damped_lanes::kTierVar},
+  };
+  plan.lanes1 = 9;
+  plan.lanes2 = 15;
+
+  Rng rng(seed ^ 0xd1);
+  struct Sample {
+    double t;
+    bool forward;
+    double inputs[3];
+  };
+  std::vector<Sample> samples;
+  double t = 1.0;
+  const double specials[] = {0.0, -0.0, 1e-310, -1e-310, 16777215.5, 16777218.0, 3.1e7, -4e9};
+  for (int i = 0; i < 400; ++i) {
+    Sample s{};
+    const double u = rng.UniformDouble(0.0, 1.0);
+    if (i == 200) {
+      t += 1000.0;  // Every weight decays to 0 in fixed point.
+      s.forward = true;
+    } else if (i == 201) {
+      s.forward = false;  // Side B is empty: its weight rounds to 0.
+    } else {
+      s.forward = rng.Bernoulli(0.5);
+    }
+    if (i == 201) {
+      s.t = t - 30.0;
+    } else if (u < 0.1) {
+      s.t = t;  // A tie.
+    } else if (u < 0.2) {
+      s.t = t - rng.UniformDouble(0.0, 0.5);  // Late.
+    } else {
+      t += rng.UniformDouble(0.0, 0.2);
+      s.t = t;
+    }
+    s.inputs[0] = rng.UniformDouble(40.0, 1500.0);
+    s.inputs[1] = specials[rng.UniformU64(8)];
+    s.inputs[2] = i < 300 ? rng.UniformDouble(-1e6, 1e6)
+                          : (i % 3 == 0 ? std::numeric_limits<double>::infinity()
+                                        : (i % 3 == 1 ? -std::numeric_limits<double>::infinity()
+                                                      : std::nan("")));
+    samples.push_back(s);
+  }
+
+  const std::vector<double> rounding = RoundingInputs(seed);
+  struct Outputs {
+    std::vector<uint64_t> rounded;
+    std::vector<uint64_t> bits;  // Blocks and statistics, every sample, every mode.
+  };
+  const auto append = [](std::vector<uint64_t>& bits, const double* v, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      bits.push_back(std::bit_cast<uint64_t>(v[i]));
+    }
+  };
+  const auto run = [&](SimdLevel level) {
+    ForceSimdLevelForTest(level);
+    Outputs o;
+    std::vector<double> rounded(rounding.size());
+    damped_lanes::QuantizeFixedForTest(rounding.data(), rounded.data(), rounded.size());
+    append(o.rounded, rounded.data(), rounded.size());
+    for (DampedMode mode :
+         {DampedMode::kNicFixedPoint, DampedMode::kExactDouble, DampedMode::kFloat32}) {
+      std::vector<double> block(plan.BlockSize());
+      damped_lanes::InitBlock(plan, block.data());
+      std::vector<double> stats(damped_lanes::kStatCount * plan.lanes());
+      for (const Sample& s : samples) {
+        damped_lanes::Update(mode, plan, block.data(), s.t, s.forward, s.inputs);
+        append(o.bits, block.data(), block.size());
+        for (bool forward : {true, false}) {
+          std::fill(stats.begin(), stats.end(), 0.0);
+          damped_lanes::Stats(mode, plan, block.data(), forward, stats.data());
+          append(o.bits, stats.data(), stats.size());
+        }
+      }
+    }
+    return o;
+  };
+  const SimdLevel detected = ActiveSimdLevel();
+  const Outputs scalar = run(SimdLevel::kScalar);
+  for (SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    const Outputs simd = run(level);
+    EXPECT_EQ(simd.rounded, scalar.rounded) << SimdLevelName(ActiveSimdLevel());
+    ASSERT_EQ(simd.bits.size(), scalar.bits.size());
+    for (size_t i = 0; i < simd.bits.size(); ++i) {
+      // IEEE 754 leaves open which payload an operation on two NaNs keeps,
+      // and the compiler may swap a product's operands: a NaN need only be
+      // a NaN.
+      const bool both_nan = std::isnan(std::bit_cast<double>(simd.bits[i])) &&
+                            std::isnan(std::bit_cast<double>(scalar.bits[i]));
+      ASSERT_TRUE(both_nan || simd.bits[i] == scalar.bits[i])
+          << SimdLevelName(ActiveSimdLevel()) << " differs at value " << i << ": "
+          << std::hexfloat << std::bit_cast<double>(simd.bits[i]) << " vs "
+          << std::bit_cast<double>(scalar.bits[i]);
+    }
+  }
+  ForceSimdLevelForTest(detected);  // Restore for other tests.
+  // The scalar rounding is QuantizeFixed itself.
+  for (size_t i = 0; i < rounding.size(); ++i) {
+    ASSERT_EQ(scalar.rounded[i], std::bit_cast<uint64_t>(damped_internal::QuantizeFixed(rounding[i])));
+  }
 }
 
 TEST(DampedModeTest, ExactDoubleLsSsEqualsWelfordForm) {

@@ -61,9 +61,32 @@ ALLOWLIST = {
         "oracle: exact f_card reference of the definitional oracle",
     "superfe::Trace::IsTimeOrdered() const":
         "oracle: trace_test checks SortByTime, the profile generators and the attack mix with it",
+    # DampedStats and DampedStats2D run each damped state on its own clock:
+    # the definition fusion_test's per-slot oracle holds the damped lanes to
+    # (bench_micro_streaming still times DampedStats::Add).
+    "superfe::DampedStats::linear_sum() const":
+        "oracle: the per-slot oracle's damped f_sum",
+    "superfe::DampedStats::mean() const":
+        "oracle: the per-slot oracle's damped f_mean",
+    "superfe::DampedStats::variance() const":
+        "oracle: the per-slot oracle's damped f_var and f_std",
+    "superfe::DampedStats2D::AddA(double, double)":
+        "oracle: the per-slot oracle's forward samples",
+    "superfe::DampedStats2D::AddB(double, double)":
+        "oracle: the per-slot oracle's backward samples",
+    "superfe::DampedStats2D::DecayResidual(double)":
+        "oracle: AddA and AddB decay the residual sum on the state's own clock",
+    "superfe::DampedStats2D::Magnitude() const":
+        "oracle: the per-slot oracle's f_mag",
+    "superfe::DampedStats2D::Radius() const":
+        "oracle: the per-slot oracle's f_radius",
+    "superfe::DampedStats2D::Covariance() const":
+        "oracle: the per-slot oracle's f_cov",
+    "superfe::DampedStats2D::CorrelationCoefficient() const":
+        "oracle: the per-slot oracle's f_pcc",
     # Test hooks.
-    "superfe::ForceSimdLevelForTest(superfe::SimdLevel)":
-        "test hook: SimdFallbackIsBitIdentical runs every batch kernel at each SIMD level",
+    "superfe::damped_lanes::QuantizeFixedForTest(double const*, double*, unsigned long)":
+        "test hook: DampedLaneKernelsMatchAcrossSimdLevels checks the vector rounding with it",
     "superfe::SetLogLevel(superfe::LogLevel)":
         "test hook: LoggingTest raises the level to check the SFE_*LOG gate",
     # Test clients of the servers and ingest sources.
