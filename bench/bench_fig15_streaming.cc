@@ -63,7 +63,7 @@ void Run() {
   double last_naive_cycles = 0.0;
   for (const auto& pkt : trace.packets()) {
     fe.OnPacket(pkt);
-    const FiveTuple key = GroupKey::InitiatorTuple(pkt);
+    const FiveTuple key = pkt.InitiatorTuple();
     auto& sizes = naive_sizes[key];
     auto& times = naive_times[key];
     sizes.Add(pkt.wire_bytes);

@@ -25,7 +25,7 @@ int main() {
       trace.Add(pkt);
     }
     const GroupKey key =
-        GroupKey::ForPacket(conversations.flows[i][0], Granularity::kChannel);
+        GroupKey::Of(InitiatorKey::Of(conversations.flows[i][0]), Granularity::kChannel);
     label_of[std::string(reinterpret_cast<const char*>(key.bytes.data()), key.length)] =
         conversations.labels[i];
   }

@@ -25,7 +25,7 @@ int main() {
     for (const auto& pkt : flows.flows[i]) {
       trace.Add(pkt);
     }
-    const GroupKey key = GroupKey::ForPacket(flows.flows[i][0], Granularity::kFlow);
+    const GroupKey key = GroupKey::Of(InitiatorKey::Of(flows.flows[i][0]), Granularity::kFlow);
     label_of[std::string(reinterpret_cast<const char*>(key.bytes.data()), key.length)] =
         flows.labels[i];
   }

@@ -32,7 +32,8 @@ int main() {
       trace.Add(pkt);
     }
     if (!sessions.flows[i].empty()) {
-      const GroupKey key = GroupKey::ForPacket(sessions.flows[i][0], Granularity::kFlow);
+      const GroupKey key =
+          GroupKey::Of(InitiatorKey::Of(sessions.flows[i][0]), Granularity::kFlow);
       label_of[std::string(reinterpret_cast<const char*>(key.bytes.data()), key.length)] =
           sessions.labels[i];
     }

@@ -22,7 +22,7 @@ std::string KeyString(const GroupKey& key) {
 PacketLabelOracle::PacketLabelOracle(const LabeledTrace& trace) {
   for (size_t i = 0; i < trace.trace.size(); ++i) {
     const PacketRecord& pkt = trace.trace.packets()[i];
-    const GroupKey fg = GroupKey::ForPacket(pkt, Granularity::kSocket);
+    const GroupKey fg = GroupKey::Of(InitiatorKey::Of(pkt), Granularity::kSocket);
     labels_[KeyString(fg)].push_back(trace.labels[i]);
   }
 }

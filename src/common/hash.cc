@@ -3,23 +3,41 @@
 #include <array>
 
 namespace superfe {
+namespace crc32_internal {
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeTables() {
+  std::array<std::array<uint32_t, 256>, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  return table;
+}  // namespace
+
+alignas(64) constexpr std::array<std::array<uint32_t, 256>, 8> kTables = MakeTables();
+
+}  // namespace crc32_internal
+
+namespace {
+
+inline uint64_t Load64Be(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
 }
 
 inline uint32_t Rotl32(uint32_t x, int r) { return (x << r) | (x >> (32 - r)); }
@@ -29,8 +47,11 @@ inline uint32_t Rotl32(uint32_t x, int r) { return (x << r) | (x >> (32 - r)); }
 uint32_t Crc32(const void* data, size_t length, uint32_t seed) {
   const auto* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < length; ++i) {
-    crc = CrcTable()[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
+  for (; length >= 8; length -= 8, bytes += 8) {
+    crc = Crc32StepBe64(crc, Load64Be(bytes));
+  }
+  for (; length > 0; --length, ++bytes) {
+    crc = crc32_internal::kTables[0][(crc ^ *bytes) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -32,24 +32,24 @@ void SoftwareExtractor::ProcessPacket(const PacketRecord& pkt, FeatureSink* sink
   cell.tstamp = static_cast<uint32_t>(pkt.timestamp_ns);
   cell.direction = pkt.direction;
   cell.full_timestamp_ns = pkt.timestamp_ns;
-  cell.fg_tuple = GroupKey::InitiatorTuple(pkt);
+  cell.fg_key = InitiatorKey::Of(pkt);
 
   const auto& grans = compiled_.nic_program.granularities;
   std::array<const GroupState*, 4> touched{};
   for (size_t gi = 0; gi < grans.size(); ++gi) {
-    const GroupKey key = GroupKey::FromFgTuple(cell.fg_tuple, grans[gi]);
     bool via_dram = false;
     GroupState& group = tables_[gi]->FindOrCreate(
-        key, key.Hash(), [&] { return GroupState::Make(plan_, gi, options_); }, via_dram);
+        GroupKey::Of(cell.fg_key, grans[gi]), cell.fg_key.Hash(grans[gi]),
+        [&] { return GroupState::Make(plan_, gi, options_); }, via_dram);
     UpdateGroup(plan_, gi, group, cell);
     touched[gi] = &group;
   }
 
   if (compiled_.nic_program.collect.per_packet && sink != nullptr) {
     ++vectors_;
-    sink->OnFeatureVector(AssembleVector(
-        plan_, tables_, touched, cell.fg_tuple,
-        GroupKey::FromFgTuple(cell.fg_tuple, compiled_.switch_program.fg()), pkt.timestamp_ns));
+    sink->OnFeatureVector(AssembleVector(plan_, tables_, touched, cell.fg_key,
+                                         GroupKey::Of(cell.fg_key, compiled_.switch_program.fg()),
+                                         pkt.timestamp_ns));
   }
 }
 
@@ -66,7 +66,7 @@ void SoftwareExtractor::Flush(FeatureSink* sink) {
         groups[gi] = &group;
         ++vectors_;
         sink->OnFeatureVector(
-            AssembleVector(plan_, tables_, groups, group.last_fg_tuple, key, group.last_seen_ns));
+            AssembleVector(plan_, tables_, groups, group.last_fg_key, key, group.last_seen_ns));
       });
     }
   }

@@ -1,7 +1,5 @@
 #include "net/five_tuple.h"
 
-#include <cstdio>
-
 #include "common/hash.h"
 
 namespace superfe {
@@ -27,34 +25,6 @@ std::array<uint8_t, 13> FiveTuple::ToBytes() const {
 FiveTuple FiveTuple::Canonical() const {
   const FiveTuple reversed = Reversed();
   return *this <= reversed ? *this : reversed;
-}
-
-std::string FiveTuple::ToString() const {
-  const char* proto_name = "ip";
-  switch (protocol) {
-    case kProtoTcp:
-      proto_name = "tcp";
-      break;
-    case kProtoUdp:
-      proto_name = "udp";
-      break;
-    case kProtoIcmp:
-      proto_name = "icmp";
-      break;
-    default:
-      break;
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s:%u -> %s:%u %s", IpToString(src_ip).c_str(), src_port,
-                IpToString(dst_ip).c_str(), dst_port, proto_name);
-  return buf;
-}
-
-std::string IpToString(uint32_t ip) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (ip >> 24) & 0xff, (ip >> 16) & 0xff,
-                (ip >> 8) & 0xff, ip & 0xff);
-  return buf;
 }
 
 size_t FiveTupleHash::operator()(const FiveTuple& t) const {

@@ -5,8 +5,8 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace superfe {
 
@@ -39,13 +39,7 @@ struct FiveTuple {
 
   // True if this tuple is already in canonical orientation.
   bool IsCanonicalOrientation() const { return Canonical() == *this; }
-
-  // "1.2.3.4:80 -> 5.6.7.8:443 tcp"
-  std::string ToString() const;
 };
-
-// Formats an IPv4 address in dotted-quad notation.
-std::string IpToString(uint32_t ip);
 
 // Builds an IPv4 address from dotted-quad components.
 constexpr uint32_t MakeIp(uint8_t a, uint8_t b, uint8_t c, uint8_t d) {

@@ -8,7 +8,6 @@
 #define SUPERFE_NET_PACKET_H_
 
 #include <cstdint>
-#include <string>
 
 #include "net/five_tuple.h"
 
@@ -49,8 +48,6 @@ struct PacketRecord {
 
   // Signed direction factor: +1 forward, -1 backward (used by f_direction).
   int DirectionSign() const { return direction == Direction::kForward ? 1 : -1; }
-
-  std::string ToString() const;
 };
 
 }  // namespace superfe

@@ -7,7 +7,6 @@
 #include <map>
 #include <tuple>
 
-#include "common/hash.h"
 #include "policy/functions.h"
 #include "streaming/batch.h"
 
@@ -577,23 +576,17 @@ void PacketBatchSoA::Assemble(const MgpvReport* reports, size_t count) {
   cells_unsorted_.clear();
   hi_unsorted_.clear();
   lo_unsorted_.clear();
+  report_unsorted_.clear();
   cells_unsorted_.reserve(total);
   hi_unsorted_.reserve(total);
   lo_unsorted_.reserve(total);
+  report_unsorted_.reserve(total);
   for (size_t r = 0; r < count; ++r) {
     for (const MgpvCell& cell : reports[r].cells) {
-      const auto bytes = cell.fg_tuple.ToBytes();
-      uint64_t hi = 0;
-      for (int b = 0; b < 8; ++b) {
-        hi = (hi << 8) | bytes[b];
-      }
-      uint64_t lo = 0;
-      for (size_t b = 8; b < bytes.size(); ++b) {
-        lo = (lo << 8) | bytes[b];
-      }
       cells_unsorted_.push_back(&cell);
-      hi_unsorted_.push_back(hi);
-      lo_unsorted_.push_back(lo);
+      hi_unsorted_.push_back(cell.fg_key.hi);
+      lo_unsorted_.push_back(cell.fg_key.lo);
+      report_unsorted_.push_back(static_cast<uint32_t>(r));
     }
   }
 
@@ -606,6 +599,27 @@ void PacketBatchSoA::Assemble(const MgpvReport* reports, size_t count) {
     order_[i] = static_cast<uint32_t>(i);
   }
   sorted_prefix_ = 0;
+  arrival_order_ = true;
+  Gather();
+}
+
+template <typename Less>
+void PacketBatchSoA::SortBy(Less less) {
+  // Always re-sort from arrival order: refining an existing finer-prefix
+  // order would interleave a coarse group's sub-groups out of arrival order.
+  for (size_t i = 0; i < order_.size(); ++i) {
+    order_[i] = static_cast<uint32_t>(i);
+  }
+  if (std::is_sorted(order_.begin(), order_.end(), less)) {
+    // The rows arrived in this order, so the stable sort is the identity.
+    if (!arrival_order_) {
+      arrival_order_ = true;
+      Gather();
+    }
+    return;
+  }
+  std::stable_sort(order_.begin(), order_.end(), less);
+  arrival_order_ = false;
   Gather();
 }
 
@@ -613,26 +627,18 @@ void PacketBatchSoA::SortByPrefix(int prefix_bytes) {
   if (sorted_prefix_ == prefix_bytes) {
     return;
   }
-  const size_t total = cells_unsorted_.size();
-  order_.resize(total);
-  for (size_t i = 0; i < total; ++i) {
-    order_[i] = static_cast<uint32_t>(i);
-  }
-  // Always re-sort from arrival order: refining an existing finer-prefix
-  // order would interleave a coarse group's sub-groups out of arrival order.
+  sorted_prefix_ = prefix_bytes;
   switch (prefix_bytes) {
     case 4:
-      std::stable_sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+      SortBy([this](uint32_t a, uint32_t b) {
         return (hi_unsorted_[a] >> 32) < (hi_unsorted_[b] >> 32);
       });
       break;
     case 8:
-      std::stable_sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
-        return hi_unsorted_[a] < hi_unsorted_[b];
-      });
+      SortBy([this](uint32_t a, uint32_t b) { return hi_unsorted_[a] < hi_unsorted_[b]; });
       break;
     default:
-      std::stable_sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+      SortBy([this](uint32_t a, uint32_t b) {
         if (hi_unsorted_[a] != hi_unsorted_[b]) {
           return hi_unsorted_[a] < hi_unsorted_[b];
         }
@@ -640,8 +646,6 @@ void PacketBatchSoA::SortByPrefix(int prefix_bytes) {
       });
       break;
   }
-  sorted_prefix_ = prefix_bytes;
-  Gather();
 }
 
 void PacketBatchSoA::Gather() {
@@ -680,21 +684,9 @@ void PacketBatchSoA::EnsureFgHash() {
       fg_hash[i] = fg_hash[i - 1];
       continue;
     }
-    const auto bytes = cells[i]->fg_tuple.ToBytes();
-    fg_hash[i] = static_cast<double>(Crc32(bytes.data(), bytes.size()));
+    fg_hash[i] = static_cast<double>(InitiatorKey{key_hi[i], key_lo[i]}.Crc(0));
   }
   fg_hash_valid_ = true;
-}
-
-int PacketBatchSoA::KeyPrefixBytes(Granularity g) {
-  switch (g) {
-    case Granularity::kHost:
-      return 4;  // Initiator IP.
-    case Granularity::kChannel:
-      return 8;  // Initiator + responder IPs.
-    default:
-      return 13;  // Socket and flow keys use the full FG tuple.
-  }
 }
 
 bool PacketBatchSoA::SamePrefix(size_t a, size_t b, int prefix_bytes) const {
@@ -738,8 +730,7 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
   // The FG-key hash is the switch-computed index shipped with the cell; a
   // double holds 32 bits exactly. Only a plan that reads fgkey computes it.
   if (plan.uses_fg_key) {
-    const auto fg_bytes = cell.fg_tuple.ToBytes();
-    fields[ExecPlan::kFieldFgKey] = static_cast<double>(Crc32(fg_bytes.data(), fg_bytes.size()));
+    fields[ExecPlan::kFieldFgKey] = static_cast<double>(cell.fg_key.Crc(0));
   }
 
   for (const auto& m : plan.maps) {
@@ -781,7 +772,7 @@ void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvC
   group.last_dir = dir_sign;
   group.packets++;
   group.last_seen_ns = cell.full_timestamp_ns;
-  group.last_fg_tuple = cell.fg_tuple;
+  group.last_fg_key = cell.fg_key;
   group.last_direction = cell.direction;
 }
 
@@ -885,7 +876,7 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
   group.packets += n;
   const MgpvCell& last = *soa.cells[end - 1];
   group.last_seen_ns = last.full_timestamp_ns;
-  group.last_fg_tuple = last.fg_tuple;
+  group.last_fg_key = last.fg_key;
   group.last_direction = last.direction;
 }
 
@@ -933,7 +924,7 @@ void EmitGroupFeatures(const ExecPlan& plan, size_t gi, const GroupState& group,
 
 FeatureVector AssembleVector(const ExecPlan& plan, const GroupTables& tables,
                              const std::array<const GroupState*, 4>& groups,
-                             const FiveTuple& fg_tuple, const GroupKey& key,
+                             const InitiatorKey& fg_key, const GroupKey& key,
                              uint64_t timestamp_ns) {
   FeatureVector vector;
   vector.group = key;
@@ -943,8 +934,8 @@ FeatureVector AssembleVector(const ExecPlan& plan, const GroupTables& tables,
     const auto& gp = plan.per_granularity[gi];
     const GroupState* group = groups[gi];
     if (group == nullptr) {
-      const GroupKey sibling = GroupKey::FromFgTuple(fg_tuple, gp.granularity);
-      group = tables[gi]->Find(sibling, sibling.Hash());
+      group = tables[gi]->Find(GroupKey::Of(fg_key, gp.granularity),
+                               fg_key.Hash(gp.granularity));
     }
     if (group != nullptr) {
       EmitGroupFeatures(plan, gi, *group, vector.values);

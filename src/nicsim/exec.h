@@ -217,22 +217,21 @@ struct ExecPlan {
 };
 
 // SoA view of one worker batch of MGPV cells. The initiator-oriented key
-// chain makes every coarser granularity's key a byte prefix of the FG key
-// (host = bytes [0,4), channel = [0,8), socket/flow = all 13), so a stable
+// chain makes every coarser granularity's key a prefix of the packed FG key
+// (host = hi >> 32, channel = hi, socket/flow = both words), so a stable
 // sort by a granularity's prefix makes that granularity's groups contiguous
-// runs, delimited by integer prefix compares on the packed key words —
-// while keeping each run internally in arrival order (the ipt/burst
-// recurrences and the sequential integer kernels are order-dependent).
-// Assemble() leaves the columns in arrival order; callers SortByPrefix()
-// per granularity before walking runs. Reused across batches to amortize
+// runs, delimited by integer prefix compares on the key words — while
+// keeping each run internally in arrival order (the ipt/burst recurrences
+// and the sequential integer kernels are order-dependent). Assemble()
+// leaves the columns in arrival order; callers SortByPrefix() per
+// granularity before walking runs. Reused across batches to amortize
 // allocations.
 struct PacketBatchSoA {
   // Sorted views, all rows() long. `cells` keeps per-row access to the
-  // original cell (fg_tuple, direction) for run-key derivation and group
-  // bookkeeping.
+  // original cell for group bookkeeping.
   std::vector<const MgpvCell*> cells;
-  std::vector<uint64_t> key_hi;  // FG-key bytes [0,8) packed big-endian.
-  std::vector<uint64_t> key_lo;  // FG-key bytes [8,13) packed big-endian.
+  std::vector<uint64_t> key_hi;  // The cells' fg_key.hi.
+  std::vector<uint64_t> key_lo;  // The cells' fg_key.lo.
   std::vector<double> pkt_size;
   std::vector<double> tstamp_ns;
   std::vector<double> dir_sign;  // ±1.
@@ -253,20 +252,26 @@ struct PacketBatchSoA {
 
   // Stable-sorts the columns by the first `prefix_bytes` key bytes (always
   // from arrival order, so every run stays arrival-ordered internally).
-  // No-op when already in this order.
+  // Skips the sort when the rows arrived in prefix order: it would be the
+  // identity permutation.
   void SortByPrefix(int prefix_bytes);
 
   // Fills fg_hash with the per-cell FG-key CRC (the fgkey builtin), cached
   // across equal-key runs. Idempotent per Assemble.
   void EnsureFgHash();
 
-  // FG-key prefix length (bytes) that a granularity's group key projects to.
-  static int KeyPrefixBytes(Granularity g);
-
   // True when rows a and b agree on the first `prefix_bytes` key bytes.
   bool SamePrefix(size_t a, size_t b, int prefix_bytes) const;
 
+  // Index, into the Assemble() call's reports, of the report row `row`
+  // came from.
+  uint32_t ReportOf(size_t row) const { return report_unsorted_[order_[row]]; }
+
  private:
+  // Stable-sorts order_ from arrival order by `less`, then gathers.
+  template <typename Less>
+  void SortBy(Less less);
+
   // Permutes the public columns by order_.
   void Gather();
 
@@ -274,7 +279,9 @@ struct PacketBatchSoA {
   std::vector<const MgpvCell*> cells_unsorted_;
   std::vector<uint64_t> hi_unsorted_;
   std::vector<uint64_t> lo_unsorted_;
+  std::vector<uint32_t> report_unsorted_;
   int sorted_prefix_ = 0;  // 0 = arrival order.
+  bool arrival_order_ = true;  // order_ is the identity.
   bool fg_hash_valid_ = false;
 };
 
@@ -296,7 +303,7 @@ struct GroupState {
   // Bookkeeping for emission.
   uint64_t packets = 0;
   uint64_t last_seen_ns = 0;
-  FiveTuple last_fg_tuple;  // For deriving coarser keys at emission.
+  InitiatorKey last_fg_key;  // For deriving coarser keys at emission.
   Direction last_direction = Direction::kForward;
 
   // Creates state for granularity index `gi` of the plan's chain.
@@ -327,13 +334,13 @@ using GroupTables = std::vector<std::unique_ptr<GroupTable<GroupState>>>;
 
 // Builds one feature vector in the plan's layout, granularity by
 // granularity. groups[gi] supplies granularity gi's block; a null entry is
-// looked up in tables[gi] under the key `fg_tuple` derives there, and the
+// looked up in tables[gi] under the key `fg_key` derives there, and the
 // block is zero-filled when that group is absent too. Per-packet collection
 // passes every group the cell touched; a collect-unit vector passes only the
-// unit group, with its last FG tuple.
+// unit group, with its last FG key.
 FeatureVector AssembleVector(const ExecPlan& plan, const GroupTables& tables,
                              const std::array<const GroupState*, 4>& groups,
-                             const FiveTuple& fg_tuple, const GroupKey& key,
+                             const InitiatorKey& fg_key, const GroupKey& key,
                              uint64_t timestamp_ns);
 
 }  // namespace superfe

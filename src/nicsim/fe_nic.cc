@@ -179,11 +179,13 @@ void FeNic::ProcessReportScalarLocked(const MgpvReport& report) {
     CellWork work = base_cell_work_;
 
     // Locate and update the group at every granularity in the chain. The
-    // cell's initiator-oriented FG tuple derives every key (§5.1).
+    // CG group's key and hash come with the report (§6.2); the cell's
+    // initiator key derives every finer one as a prefix (§5.1).
     std::array<const GroupState*, 4> touched{};
     for (size_t gi = 0; gi < grans.size(); ++gi) {
-      const GroupKey key = GroupKey::FromFgTuple(cell.fg_tuple, grans[gi]);
-      const uint32_t hash = key.Hash();
+      const bool cg = grans[gi] == report.cg_key.granularity;
+      const GroupKey key = cg ? report.cg_key : GroupKey::Of(cell.fg_key, grans[gi]);
+      const uint32_t hash = cg ? report.hash : cell.fg_key.Hash(grans[gi]);
       bool via_dram = false;
       GroupState& group = tables_[gi]->FindOrCreate(
           key, hash, [&] { return GroupState::Make(plan_, gi, config_.exec); }, via_dram);
@@ -202,9 +204,8 @@ void FeNic::ProcessReportScalarLocked(const MgpvReport& report) {
       stats_.vectors_emitted++;
       obs::Inc(local_.vectors_emitted);
       sink_->OnFeatureVector(AssembleVector(
-          plan_, tables_, touched, cell.fg_tuple,
-          GroupKey::FromFgTuple(cell.fg_tuple, compiled_.switch_program.fg()),
-          cell.full_timestamp_ns));
+          plan_, tables_, touched, cell.fg_key,
+          GroupKey::Of(cell.fg_key, compiled_.switch_program.fg()), cell.full_timestamp_ns));
     }
   }
 }
@@ -231,15 +232,16 @@ void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
 
   // Walk each granularity's contiguous runs of the sorted batch: one table
   // access and one bulk UpdateGroupBatch per (group, run) instead of per
-  // cell. The coarse-granularity hash is still reusable from the switch
-  // (one per CG run), mirroring the per-cell reuse_switch_hash credit.
+  // cell. A CG run takes its key and hash from its report, as every report
+  // of the run shares them (the reuse_switch_hash credit, §6.2); a finer
+  // run derives them from its first cell's initiator key.
   const auto& grans = compiled_.nic_program.granularities;
   const Granularity cg = reports[0].cg_key.granularity;
   uint64_t runs_total = 0;
   uint64_t cg_runs = 0;
   uint64_t dram_runs = 0;
   for (size_t gi = 0; gi < grans.size(); ++gi) {
-    const int prefix = PacketBatchSoA::KeyPrefixBytes(grans[gi]);
+    const int prefix = InitiatorKey::PrefixBytes(grans[gi]);
     batch_.SortByPrefix(prefix);
     size_t begin = 0;
     while (begin < total_cells) {
@@ -247,9 +249,17 @@ void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
       while (end < total_cells && batch_.SamePrefix(begin, end, prefix)) {
         ++end;
       }
-      const MgpvCell& first = *batch_.cells[begin];
-      const GroupKey key = GroupKey::FromFgTuple(first.fg_tuple, grans[gi]);
-      const uint32_t hash = key.Hash();
+      GroupKey key;
+      uint32_t hash = 0;
+      if (grans[gi] == cg) {
+        const MgpvReport& report = reports[batch_.ReportOf(begin)];
+        key = report.cg_key;
+        hash = report.hash;
+      } else {
+        const InitiatorKey& fg_key = batch_.cells[begin]->fg_key;
+        key = GroupKey::Of(fg_key, grans[gi]);
+        hash = fg_key.Hash(grans[gi]);
+      }
       bool via_dram = false;
       GroupState& group = tables_[gi]->FindOrCreate(
           key, hash, [&] { return GroupState::Make(plan_, gi, config_.exec); }, via_dram);
@@ -282,7 +292,7 @@ void FeNic::EmitVector(size_t unit_gi, const GroupKey& unit_key, const GroupStat
   groups[unit_gi] = &unit_group;
   stats_.vectors_emitted++;
   obs::Inc(local_.vectors_emitted);
-  sink_->OnFeatureVector(AssembleVector(plan_, tables_, groups, unit_group.last_fg_tuple,
+  sink_->OnFeatureVector(AssembleVector(plan_, tables_, groups, unit_group.last_fg_key,
                                         unit_key, unit_group.last_seen_ns));
 }
 

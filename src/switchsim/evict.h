@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/five_tuple.h"
 #include "net/packet.h"
 #include "switchsim/group_key.h"
 
@@ -15,7 +14,7 @@ namespace superfe {
 // One MGPV cell: the batched feature metadata of a single packet. The wire
 // layout is the compiled policy's metadata layout (2-byte size, 4-byte
 // truncated timestamp, 1-byte direction, 2-byte FG index as applicable);
-// `full_timestamp_ns` and `fg_tuple` are simulator shadow fields used to run
+// `full_timestamp_ns` and `fg_key` are simulator shadow fields used to run
 // the NIC pipeline bit-exactly — they are never counted as transferred
 // bytes.
 struct MgpvCell {
@@ -25,8 +24,9 @@ struct MgpvCell {
   uint16_t fg_index = 0;
 
   uint64_t full_timestamp_ns = 0;  // Shadow.
-  FiveTuple fg_tuple;              // Shadow: initiator-oriented five-tuple.
+  InitiatorKey fg_key;             // Shadow: the packed initiator key.
 };
+static_assert(sizeof(MgpvCell) == 40, "cells are copied per report; keep them compact");
 
 enum class EvictReason : uint8_t {
   kCollision,  // Hash collision with a different group (most common; ~LRU).
@@ -39,6 +39,8 @@ enum class EvictReason : uint8_t {
 const char* EvictReasonName(EvictReason reason);
 
 // One evicted MGPV: a CG group key, the switch hash, and the batched cells.
+// Every cell's FG key has `cg_key` as its prefix, so the NIC takes the CG
+// group's key and hash from the report instead of deriving them.
 struct MgpvReport {
   GroupKey cg_key;
   uint32_t hash = 0;  // Switch-computed; reused by the NIC (§6.2).
@@ -64,7 +66,7 @@ struct MgpvReport {
 // table up to date whenever a slot is written, §5.1).
 struct FgSyncMessage {
   uint16_t index = 0;
-  FiveTuple key;
+  InitiatorKey key;
 
   static constexpr uint32_t kWireBytes = 2 + 13;
 };

@@ -19,10 +19,61 @@
 #include <cstring>
 #include <string>
 
+#include "common/hash.h"
 #include "net/packet.h"
 #include "policy/ast.h"
 
 namespace superfe {
+
+// The initiator-oriented five-tuple packed into two words, in the layout
+// the NIC's batch columns use (PacketBatchSoA::key_hi/key_lo): hi =
+// src_ip:dst_ip, lo = src_port:dst_port:protocol in its low 40 bits. Read
+// big-endian, hi then lo's five bytes are FiveTuple::ToBytes() of the
+// tuple, and each granularity's key is a prefix of them: host = hi >> 32,
+// channel = hi, socket/flow = both words. The switch packs it once per
+// packet and carries it through the cells and the NIC's group state.
+struct InitiatorKey {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+
+  bool operator==(const InitiatorKey&) const = default;
+
+  // Packs a tuple already in initiator orientation.
+  static InitiatorKey Pack(const FiveTuple& t) {
+    return {(static_cast<uint64_t>(t.src_ip) << 32) | t.dst_ip,
+            (static_cast<uint64_t>(t.src_port) << 24) | (static_cast<uint64_t>(t.dst_port) << 8) |
+                t.protocol};
+  }
+
+  // The packet's key: its five-tuple as sent by the flow initiator.
+  static InitiatorKey Of(const PacketRecord& pkt) { return Pack(pkt.InitiatorTuple()); }
+
+  // The number of leading key bytes that granularity `g`'s key keeps.
+  static int PrefixBytes(Granularity g) {
+    return g == Granularity::kHost ? 4 : g == Granularity::kChannel ? 8 : 13;
+  }
+
+  // The words of granularity `g`'s prefix, the rest zero: two keys agree at
+  // `g` exactly when their prefixes are equal.
+  InitiatorKey Prefix(Granularity g) const {
+    switch (g) {
+      case Granularity::kHost:
+        return {hi & 0xffffffff00000000ull, 0};
+      case Granularity::kChannel:
+        return {hi, 0};
+      default:
+        return *this;
+    }
+  }
+
+  // Crc32 of all 13 key bytes with `seed` (the FG index, the fgkey builtin).
+  uint32_t Crc(uint32_t seed) const {
+    return ~Crc32StepBe40(Crc32StepBe64(~seed, hi), lo);
+  }
+
+  // GroupKey::Of(*this, g).Hash(), without building the bytes.
+  uint32_t Hash(Granularity g) const;
+};
 
 struct GroupKey {
   Granularity granularity = Granularity::kFlow;
@@ -35,18 +86,16 @@ struct GroupKey {
   }
   bool operator!=(const GroupKey& other) const { return !(*this == other); }
 
-  // The key of `granularity` for this packet (host = the initiator's IP;
-  // channel = ordered initiator→responder IP pair; socket/flow =
-  // initiator-oriented five-tuple).
-  static GroupKey ForPacket(const PacketRecord& pkt, Granularity granularity);
+  // The key of `granularity`: the prefix of the initiator key's bytes that
+  // the granularity projects to (host = the initiator's IP; channel = the
+  // ordered initiator -> responder IP pair; socket/flow = the whole
+  // five-tuple). No direction is needed at any granularity.
+  static GroupKey Of(const InitiatorKey& key, Granularity granularity);
 
-  // The initiator-oriented five-tuple of the packet (the FG key stored in
-  // the synchronized table).
-  static FiveTuple InitiatorTuple(const PacketRecord& pkt);
-
-  // Derives a coarser key from an initiator-oriented FG five-tuple. All
-  // granularities project from the FG key alone — no direction needed.
-  static GroupKey FromFgTuple(const FiveTuple& fg, Granularity granularity);
+  // The hash seed of `granularity`'s keys.
+  static uint32_t Seed(Granularity granularity) {
+    return static_cast<uint32_t>(granularity) * 0x1003fu;
+  }
 
   // 32-bit CRC hash, as computed by the Tofino hash engine; the same value
   // is shipped to the NIC (hash-reuse optimization, §6.2).
@@ -54,6 +103,18 @@ struct GroupKey {
 
   std::string ToString() const;
 };
+
+inline uint32_t InitiatorKey::Hash(Granularity g) const {
+  const uint32_t seed = GroupKey::Seed(g);
+  switch (g) {
+    case Granularity::kHost:
+      return ~Crc32StepBe32(~seed, static_cast<uint32_t>(hi >> 32));
+    case Granularity::kChannel:
+      return ~Crc32StepBe64(~seed, hi);
+    default:
+      return Crc(seed);
+  }
+}
 
 struct GroupKeyHash {
   size_t operator()(const GroupKey& key) const { return key.Hash(); }

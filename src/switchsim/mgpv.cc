@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/hash.h"
 #include "obs/cycles.h"
 
 namespace superfe {
@@ -83,9 +82,7 @@ MgpvObs MgpvObs::Create(obs::MetricsRegistry* registry, obs::TraceRecorder* trac
 }
 
 uint64_t MgpvConfig::MemoryFootprintBytes() const {
-  const uint32_t cg_key_bytes = cg == Granularity::kHost      ? 4
-                                : cg == Granularity::kChannel ? 8
-                                                              : 13;
+  const uint32_t cg_key_bytes = InitiatorKey::PrefixBytes(cg);
   // Per short entry: key + hash (4) + last-access timestamp (4) + long
   // pointer (2) + cell count (1) + the short cells themselves.
   const uint64_t per_entry =
@@ -151,7 +148,7 @@ void MgpvCache::EvictCells(Entry& entry, EvictReason reason) {
   }
 
   MgpvReport report;
-  report.cg_key = entry.key;
+  report.cg_key = GroupKey::Of(entry.key, config_.cg);
   report.hash = entry.hash;
   report.reason = reason;
   report.cells.reserve(entry.short_cells.size() + long_cells);
@@ -192,21 +189,19 @@ void MgpvCache::EvictCells(Entry& entry, EvictReason reason) {
   sink_->OnMgpv(report);
 }
 
-uint16_t MgpvCache::FgIndexFor(const FiveTuple& fg_tuple) {
-  const auto bytes = fg_tuple.ToBytes();
-  const uint32_t hash = Crc32(bytes.data(), bytes.size(), 0xf60f60u);
-  const uint16_t index = static_cast<uint16_t>(hash % config_.fg_table_size);
+uint16_t MgpvCache::FgIndexFor(const InitiatorKey& fg_key) {
+  const uint16_t index = static_cast<uint16_t>(fg_key.Crc(0xf60f60u) % config_.fg_table_size);
   FgSlot& slot = fg_table_[index];
-  if (!slot.valid || !(slot.key == fg_tuple)) {
+  if (!slot.valid || !(slot.key == fg_key)) {
     if (slot.valid) {
       stats_.fg_collisions++;
       obs::Inc(local_.fg_collisions);
     }
     slot.valid = true;
-    slot.key = fg_tuple;
+    slot.key = fg_key;
     FgSyncMessage sync;
     sync.index = index;
-    sync.key = fg_tuple;
+    sync.key = fg_key;
     stats_.fg_syncs++;
     stats_.bytes_out += FgSyncMessage::kWireBytes;
     obs::Inc(local_.fg_syncs);
@@ -232,7 +227,9 @@ void MgpvCache::AgeScan() {
   }
   for (uint32_t i = 0; i < config_.aging_scan_per_packet; ++i) {
     Entry& entry = entries_[scan_cursor_];
-    scan_cursor_ = (scan_cursor_ + 1) % config_.short_buffers;
+    if (++scan_cursor_ == config_.short_buffers) {
+      scan_cursor_ = 0;
+    }
     if (entry.valid && now_ns_ > entry.last_access_ns &&
         now_ns_ - entry.last_access_ns > timeout_ns) {
       EvictCells(entry, EvictReason::kAging);
@@ -251,7 +248,9 @@ bool MgpvCache::PressureEvict(const Entry& current) {
   Entry* victim = nullptr;
   for (uint32_t i = 0; i < config_.pressure_evict_scan; ++i) {
     Entry& entry = entries_[pressure_cursor_];
-    pressure_cursor_ = (pressure_cursor_ + 1) % config_.short_buffers;
+    if (++pressure_cursor_ == config_.short_buffers) {
+      pressure_cursor_ = 0;
+    }
     if (entry.valid && entry.long_index >= 0 && &entry != &current &&
         (victim == nullptr || entry.last_access_ns < victim->last_access_ns)) {
       victim = &entry;
@@ -283,13 +282,14 @@ void MgpvCache::Insert(const PacketRecord& pkt) {
   cell.tstamp = static_cast<uint32_t>(pkt.timestamp_ns);
   cell.direction = pkt.direction;
   cell.full_timestamp_ns = pkt.timestamp_ns;
-  cell.fg_tuple = GroupKey::InitiatorTuple(pkt);
+  // The packet's one key: the cell carries it, and the CG key is its prefix.
+  cell.fg_key = InitiatorKey::Of(pkt);
   if (config_.multi_granularity) {
-    cell.fg_index = FgIndexFor(cell.fg_tuple);
+    cell.fg_index = FgIndexFor(cell.fg_key);
   }
 
-  const GroupKey key = GroupKey::ForPacket(pkt, config_.cg);
-  const uint32_t hash = key.Hash();
+  const InitiatorKey key = cell.fg_key.Prefix(config_.cg);
+  const uint32_t hash = cell.fg_key.Hash(config_.cg);
   Entry& entry = entries_[hash % config_.short_buffers];
 
   if (!entry.valid) {

@@ -210,8 +210,8 @@ class MgpvCache {
  private:
   struct Entry {
     bool valid = false;
-    GroupKey key;
     uint32_t hash = 0;
+    InitiatorKey key;  // The CG prefix of the group's initiator key.
     uint64_t last_access_ns = 0;
     // Trace-time arrival of the current batch's first cell. Every eviction
     // clears both buffers, so "short_cells is empty" identifies batch start.
@@ -222,7 +222,7 @@ class MgpvCache {
 
   struct FgSlot {
     bool valid = false;
-    FiveTuple key;
+    InitiatorKey key;
   };
 
   // Emits the entry's cells (short then long, i.e. chronological order) and
@@ -231,7 +231,7 @@ class MgpvCache {
   void EvictCells(Entry& entry, EvictReason reason);
 
   // Looks up / installs the FG key, emitting a sync message on writes.
-  uint16_t FgIndexFor(const FiveTuple& fg_tuple);
+  uint16_t FgIndexFor(const InitiatorKey& fg_key);
 
   // Advances the recirculation aging scan by config_.aging_scan_per_packet
   // entries.

@@ -34,7 +34,7 @@ uint32_t ShardedFeSwitch::ShardOf(const PacketRecord& pkt) const {
   if (shards_.size() == 1) {
     return 0;
   }
-  return GroupKey::ForPacket(pkt, cg_).Hash() % static_cast<uint32_t>(shards_.size());
+  return InitiatorKey::Of(pkt).Hash(cg_) % static_cast<uint32_t>(shards_.size());
 }
 
 std::vector<PacketSink*> ShardedFeSwitch::PacketSinks() {

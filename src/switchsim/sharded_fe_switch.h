@@ -3,7 +3,7 @@
 // one switch pipe per thread without any cross-shard locking.
 //
 // Routing invariant: ShardOf() uses the exact key derivation MgpvCache uses
-// internally (GroupKey::ForPacket(pkt, cg).Hash()), so every packet of a CG
+// internally (InitiatorKey::Of(pkt).Hash(cg)), so every packet of a CG
 // group lands in the same shard and each shard's cache sees the same per-group
 // packet sequence a single cache would. The NIC-side routing
 // (MgpvReport::hash % members) composes with this: a shard only changes

@@ -40,12 +40,14 @@ MgpvCell Cell(const FiveTuple& tuple, double size, uint64_t ts_ns, Direction dir
   cell.full_timestamp_ns = ts_ns;
   cell.tstamp = static_cast<uint32_t>(ts_ns);
   cell.direction = dir;
-  cell.fg_tuple = tuple;
+  cell.fg_key = InitiatorKey::Pack(tuple);
   return cell;
 }
 
 // Random mixed-group report stream: `flows` five-tuples sharing a few hosts,
-// interleaved cells with monotone timestamps and mixed directions.
+// interleaved cells with monotone timestamps and mixed directions. As from
+// the switch, each report holds the cells of one host group and carries
+// that group's key and hash.
 std::vector<MgpvReport> MakeReports(uint64_t seed, int flows, int cells_per_report,
                                     int reports) {
   Rng rng(seed);
@@ -58,11 +60,18 @@ std::vector<MgpvReport> MakeReports(uint64_t seed, int flows, int cells_per_repo
   std::vector<MgpvReport> out;
   uint64_t ts = 1;
   for (int r = 0; r < reports; ++r) {
+    const uint32_t host = tuples[rng.UniformU64(tuples.size())].src_ip;
+    std::vector<FiveTuple> host_tuples;
+    for (const FiveTuple& t : tuples) {
+      if (t.src_ip == host) {
+        host_tuples.push_back(t);
+      }
+    }
     MgpvReport report;
-    report.cg_key = GroupKey::FromFgTuple(tuples[0], Granularity::kHost);
+    report.cg_key = GroupKey::Of(InitiatorKey::Pack(host_tuples[0]), Granularity::kHost);
     report.hash = report.cg_key.Hash();
     for (int c = 0; c < cells_per_report; ++c) {
-      const FiveTuple& t = tuples[rng.UniformU64(tuples.size())];
+      const FiveTuple& t = host_tuples[rng.UniformU64(host_tuples.size())];
       ts += 1000 + rng.UniformU64(100000);
       const Direction dir =
           rng.Bernoulli(0.5) ? Direction::kForward : Direction::kBackward;
@@ -105,7 +114,7 @@ TEST(BatchExecTest, UpdateGroupBatchMatchesPerCellUpdates) {
     PacketBatchSoA soa;
     soa.Assemble(reports.data(), reports.size());
     soa.SortByPrefix(
-        PacketBatchSoA::KeyPrefixBytes(plan.per_granularity[gi].granularity));
+        InitiatorKey::PrefixBytes(plan.per_granularity[gi].granularity));
     UpdateGroupBatch(plan, gi, batch, soa, 0, soa.rows());
 
     EXPECT_EQ(batch.packets, scalar.packets);
@@ -131,7 +140,7 @@ TEST(BatchExecTest, SoaSortKeepsPerGroupArrivalOrder) {
   ASSERT_EQ(soa.rows(), 6u * 32u);
   for (const Granularity g :
        {Granularity::kHost, Granularity::kChannel, Granularity::kFlow}) {
-    const int prefix = PacketBatchSoA::KeyPrefixBytes(g);
+    const int prefix = InitiatorKey::PrefixBytes(g);
     soa.SortByPrefix(prefix);
     for (size_t i = 1; i < soa.rows(); ++i) {
       if (soa.SamePrefix(i - 1, i, prefix)) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -19,6 +20,44 @@ TEST(Crc32Test, KnownVector) {
 }
 
 TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32(nullptr, 0), 0u); }
+
+// The reference: one bit at a time, the reflected IEEE polynomial.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t length, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < length; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, SlicingMatchesBytewiseReference) {
+  Rng rng(9);
+  uint8_t buffer[72];
+  for (uint8_t& b : buffer) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  // Zero, the group-key seeds of every granularity, the FG index seed, and
+  // random seeds.
+  std::vector<uint32_t> seeds = {0u, 0xf60f60u};
+  for (uint32_t g = 0; g < 4; ++g) {
+    seeds.push_back(g * 0x1003fu);
+  }
+  for (int i = 0; i < 4; ++i) {
+    seeds.push_back(static_cast<uint32_t>(rng.NextU64()));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      for (uint32_t seed : seeds) {
+        ASSERT_EQ(Crc32(buffer + offset, length, seed),
+                  BytewiseCrc32(buffer + offset, length, seed))
+            << "offset " << offset << " length " << length << " seed " << seed;
+      }
+    }
+  }
+}
 
 TEST(Crc32Test, SeedChangesResult) {
   const char* data = "abc";

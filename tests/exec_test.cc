@@ -20,7 +20,7 @@ MgpvCell Cell(double size, uint64_t ts_ns, Direction dir = Direction::kForward) 
   cell.full_timestamp_ns = ts_ns;
   cell.tstamp = static_cast<uint32_t>(ts_ns);
   cell.direction = dir;
-  cell.fg_tuple = {1, 2, 3, 4, kProtoTcp};
+  cell.fg_key = InitiatorKey::Pack({1, 2, 3, 4, kProtoTcp});
   return cell;
 }
 

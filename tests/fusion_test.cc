@@ -84,8 +84,8 @@ std::vector<MgpvCell> GroupCells(uint64_t seed, size_t n) {
     cell.tstamp = static_cast<uint32_t>(cell.full_timestamp_ns);
     cell.size = static_cast<uint16_t>(40 + rng.UniformU64(1461));
     cell.direction = rng.Bernoulli(0.5) ? Direction::kForward : Direction::kBackward;
-    cell.fg_tuple = {0x0a000001, 0xac100001, static_cast<uint16_t>(1000 + rng.UniformU64(3)), 80,
-                     kProtoTcp};
+    cell.fg_key = InitiatorKey::Pack(
+        {0x0a000001, 0xac100001, static_cast<uint16_t>(1000 + rng.UniformU64(3)), 80, kProtoTcp});
     cells.push_back(cell);
   }
   return cells;
@@ -303,7 +303,7 @@ void ExpectFusedMatchesPerSlot(const ExecPlan& plan, const ExecOptions& options,
       if (batch) {
         PacketBatchSoA soa;
         soa.Assemble(&report, 1);
-        soa.SortByPrefix(PacketBatchSoA::KeyPrefixBytes(gp.granularity));
+        soa.SortByPrefix(InitiatorKey::PrefixBytes(gp.granularity));
         UpdateGroupBatch(plan, gi, fused[gi], soa, 0, soa.rows());
         oracles[gi].UpdateBatch(soa);
       } else {
@@ -353,7 +353,7 @@ std::vector<MgpvCell> TwoSidedCells() {
     cell.full_timestamp_ns = 1000000000 + static_cast<uint64_t>(i) * 10000000;
     cell.direction = i % 2 == 0 ? Direction::kForward : Direction::kBackward;
     cell.size = cell.direction == Direction::kForward ? 1400 : 100;
-    cell.fg_tuple = {0x0a000001, 0xac100001, 1000, 80, kProtoTcp};
+    cell.fg_key = InitiatorKey::Pack({0x0a000001, 0xac100001, 1000, 80, kProtoTcp});
     cells.push_back(cell);
   }
   return cells;

@@ -8,7 +8,7 @@ namespace {
 GroupKey Key(uint32_t ip) {
   PacketRecord pkt;
   pkt.tuple.src_ip = ip;
-  return GroupKey::ForPacket(pkt, Granularity::kHost);
+  return GroupKey::Of(InitiatorKey::Of(pkt), Granularity::kHost);
 }
 
 struct TestState {

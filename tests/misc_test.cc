@@ -1,7 +1,9 @@
 // Coverage for small shared utilities and naming/diagnostic helpers.
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "nicsim/cost_model.h"
 #include "policy/functions.h"
 #include "policy/value.h"
@@ -84,22 +86,24 @@ TEST(NamesTest, GranularityNamesAndOrder) {
 TEST(GroupKeyTest, ToStringIsHex) {
   PacketRecord pkt;
   pkt.tuple.src_ip = MakeIp(1, 2, 3, 4);
-  const GroupKey key = GroupKey::ForPacket(pkt, Granularity::kHost);
+  const GroupKey key = GroupKey::Of(InitiatorKey::Of(pkt), Granularity::kHost);
   EXPECT_EQ(key.ToString(), "host:01020304");
 }
 
-TEST(GroupKeyTest, FromFgTupleDerivesEveryGranularity) {
-  const FiveTuple fg{MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 2), 1000, 80, kProtoTcp};
+TEST(GroupKeyTest, OfDerivesEveryGranularity) {
+  const InitiatorKey fg =
+      InitiatorKey::Pack({MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 2), 1000, 80, kProtoTcp});
   // Host = the initiator's IP (the FG tuple's source side).
-  const GroupKey host = GroupKey::FromFgTuple(fg, Granularity::kHost);
+  const GroupKey host = GroupKey::Of(fg, Granularity::kHost);
   EXPECT_EQ(host.length, 4);
   EXPECT_EQ(host.ToString(), "host:0a000001");
   // Channel = the ordered (initiator, responder) pair — not min/max.
-  const GroupKey channel = GroupKey::FromFgTuple(fg, Granularity::kChannel);
+  const GroupKey channel = GroupKey::Of(fg, Granularity::kChannel);
   EXPECT_EQ(channel.length, 8);
   EXPECT_EQ(channel.ToString(), "channel:0a0000010a000002");
   // Socket/flow carry the full tuple.
-  EXPECT_EQ(GroupKey::FromFgTuple(fg, Granularity::kSocket).length, 13);
+  EXPECT_EQ(GroupKey::Of(fg, Granularity::kSocket).length, 13);
+  EXPECT_EQ(GroupKey::Of(fg, Granularity::kFlow).ToString(), "flow:0a0000010a00000203e8005006");
 }
 
 TEST(GroupKeyTest, BothDirectionsOfAFlowShareEveryKey) {
@@ -113,8 +117,8 @@ TEST(GroupKeyTest, BothDirectionsOfAFlowShareEveryKey) {
   bwd.direction = Direction::kBackward;
   for (Granularity g : {Granularity::kHost, Granularity::kChannel, Granularity::kSocket,
                         Granularity::kFlow}) {
-    const GroupKey f = GroupKey::ForPacket(fwd, g);
-    const GroupKey b = GroupKey::ForPacket(bwd, g);
+    const GroupKey f = GroupKey::Of(InitiatorKey::Of(fwd), g);
+    const GroupKey b = GroupKey::Of(InitiatorKey::Of(bwd), g);
     EXPECT_EQ(f, b) << GranularityName(g);
     EXPECT_EQ(f.Hash(), b.Hash()) << GranularityName(g);
   }
@@ -122,29 +126,76 @@ TEST(GroupKeyTest, BothDirectionsOfAFlowShareEveryKey) {
   // group (ordered pair), even though the canonical IP set is the same.
   PacketRecord other = bwd;
   other.direction = Direction::kForward;
-  EXPECT_NE(GroupKey::ForPacket(fwd, Granularity::kHost),
-            GroupKey::ForPacket(other, Granularity::kHost));
-  EXPECT_NE(GroupKey::ForPacket(fwd, Granularity::kChannel),
-            GroupKey::ForPacket(other, Granularity::kChannel));
+  EXPECT_NE(GroupKey::Of(InitiatorKey::Of(fwd), Granularity::kHost),
+            GroupKey::Of(InitiatorKey::Of(other), Granularity::kHost));
+  EXPECT_NE(GroupKey::Of(InitiatorKey::Of(fwd), Granularity::kChannel),
+            GroupKey::Of(InitiatorKey::Of(other), Granularity::kChannel));
 }
 
 TEST(GroupKeyTest, HashDependsOnGranularity) {
   PacketRecord pkt;
   pkt.tuple = {MakeIp(9, 9, 9, 9), MakeIp(8, 8, 8, 8), 1, 2, kProtoUdp};
-  const GroupKey socket = GroupKey::ForPacket(pkt, Granularity::kSocket);
-  const GroupKey flow = GroupKey::ForPacket(pkt, Granularity::kFlow);
+  const GroupKey socket = GroupKey::Of(InitiatorKey::Of(pkt), Granularity::kSocket);
+  const GroupKey flow = GroupKey::Of(InitiatorKey::Of(pkt), Granularity::kFlow);
   // Same bytes, different granularity seed: distinct hashes.
   EXPECT_NE(socket.Hash(), flow.Hash());
 }
 
-TEST(GroupKeyTest, InitiatorTupleUndoesDirection) {
+TEST(GroupKeyTest, InitiatorKeyUndoesDirection) {
   PacketRecord fwd;
   fwd.tuple = {1, 2, 3, 4, kProtoTcp};
   fwd.direction = Direction::kForward;
   PacketRecord bwd;
   bwd.tuple = fwd.tuple.Reversed();
   bwd.direction = Direction::kBackward;
-  EXPECT_EQ(GroupKey::InitiatorTuple(fwd), GroupKey::InitiatorTuple(bwd));
+  EXPECT_EQ(InitiatorKey::Of(fwd), InitiatorKey::Of(bwd));
+  EXPECT_EQ(InitiatorKey::Of(bwd), InitiatorKey::Pack(fwd.tuple));
+}
+
+// The packed key's bytes are the tuple's ToBytes() layout (FiveTupleTest.
+// ToBytesLayout), each granularity keeps a prefix of them, and the packed
+// hashes equal Crc32 over those bytes, for random tuples in both directions.
+TEST(GroupKeyTest, PackedHashesMatchCrcOverKeyBytes) {
+  Rng rng(26);
+  for (int i = 0; i < 2000; ++i) {
+    PacketRecord pkt;
+    pkt.tuple = {static_cast<uint32_t>(rng.NextU64()), static_cast<uint32_t>(rng.NextU64()),
+                 static_cast<uint16_t>(rng.NextU64()), static_cast<uint16_t>(rng.NextU64()),
+                 static_cast<uint8_t>(rng.NextU64())};
+    pkt.direction = rng.Bernoulli(0.5) ? Direction::kForward : Direction::kBackward;
+    const InitiatorKey key = InitiatorKey::Of(pkt);
+    const auto tuple_bytes = pkt.InitiatorTuple().ToBytes();
+    for (Granularity g : {Granularity::kHost, Granularity::kChannel, Granularity::kSocket,
+                          Granularity::kFlow}) {
+      const GroupKey group = GroupKey::Of(key, g);
+      ASSERT_EQ(group.length, InitiatorKey::PrefixBytes(g));
+      for (int b = 0; b < 13; ++b) {
+        ASSERT_EQ(group.bytes[b], b < group.length ? tuple_bytes[b] : 0)
+            << GranularityName(g) << " byte " << b;
+      }
+      ASSERT_EQ(key.Hash(g), Crc32(tuple_bytes.data(), group.length, GroupKey::Seed(g)))
+          << GranularityName(g);
+      ASSERT_EQ(key.Hash(g), group.Hash()) << GranularityName(g);
+      // Prefixes compare equal exactly when the granularity's keys do.
+      ASSERT_EQ(key.Prefix(g), InitiatorKey::Pack(pkt.InitiatorTuple()).Prefix(g));
+    }
+    for (uint32_t seed : {0u, 0xf60f60u, static_cast<uint32_t>(rng.NextU64())}) {
+      ASSERT_EQ(key.Crc(seed), Crc32(tuple_bytes.data(), tuple_bytes.size(), seed));
+    }
+  }
+}
+
+TEST(GroupKeyTest, PrefixKeepsOnlyTheGranularitysWords) {
+  const InitiatorKey key =
+      InitiatorKey::Pack({MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 2), 1000, 80, kProtoTcp});
+  const InitiatorKey other_port =
+      InitiatorKey::Pack({MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 2), 1001, 80, kProtoTcp});
+  const InitiatorKey other_dst =
+      InitiatorKey::Pack({MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 3), 1000, 80, kProtoTcp});
+  EXPECT_EQ(key.Prefix(Granularity::kHost), other_dst.Prefix(Granularity::kHost));
+  EXPECT_NE(key.Prefix(Granularity::kChannel), other_dst.Prefix(Granularity::kChannel));
+  EXPECT_EQ(key.Prefix(Granularity::kChannel), other_port.Prefix(Granularity::kChannel));
+  EXPECT_NE(key.Prefix(Granularity::kFlow), other_port.Prefix(Granularity::kFlow));
 }
 
 TEST(FunctionsTest, OutputWidths) {

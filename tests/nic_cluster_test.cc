@@ -141,8 +141,8 @@ TEST(GroupTableEraseTest, EraseRemovesBucketAndDramEntries) {
   p1.tuple.src_ip = 1;
   PacketRecord p2;
   p2.tuple.src_ip = 2;
-  const GroupKey k1 = GroupKey::ForPacket(p1, Granularity::kHost);
-  const GroupKey k2 = GroupKey::ForPacket(p2, Granularity::kHost);
+  const GroupKey k1 = GroupKey::Of(InitiatorKey::Of(p1), Granularity::kHost);
+  const GroupKey k2 = GroupKey::Of(InitiatorKey::Of(p2), Granularity::kHost);
   table.FindOrCreate(k1, 0, [] { return 1; }, via_dram);
   table.FindOrCreate(k2, 0, [] { return 2; }, via_dram);  // Overflows to DRAM.
   EXPECT_TRUE(via_dram);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -79,12 +80,16 @@ std::vector<VectorKey> SortedMultiset(const std::vector<FeatureVector>& vectors)
   return keys;
 }
 
+// Runs one shape; with `prom`, turns metrics on and exports them there.
 std::vector<FeatureVector> RunPipeline(const Policy& policy, const Trace& trace,
                                        uint32_t shards, uint32_t workers,
-                                       RunReport* report_out = nullptr) {
+                                       RunReport* report_out = nullptr, bool pin_threads = false,
+                                       std::string* prom = nullptr) {
   RuntimeConfig config;
   config.switch_shards = shards;
   config.worker_threads = workers;
+  config.pin_threads = pin_threads;
+  config.obs.metrics = prom != nullptr;
   auto runtime = SuperFeRuntime::Create(policy, config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   CollectingFeatureSink sink;
@@ -92,7 +97,19 @@ std::vector<FeatureVector> RunPipeline(const Policy& policy, const Trace& trace,
   if (report_out != nullptr) {
     *report_out = report;
   }
+  if (prom != nullptr) {
+    std::ostringstream out;
+    EXPECT_TRUE((*runtime)->WriteMetricsProm(out));
+    *prom = out.str();
+  }
   return sink.vectors();
+}
+
+std::string ExampleSource(const std::string& name) {
+  std::ifstream in(std::string(SUPERFE_SOURCE_DIR) + "/examples/policies/" + name + ".sfe");
+  std::stringstream source;
+  source << in.rdbuf();
+  return source.str();
 }
 
 TEST(ShardedReplayTest, FeatureMultisetMatchesSerialReference) {
@@ -149,40 +166,67 @@ std::vector<std::string> SortedCsvLines(const std::vector<FeatureVector>& vector
 // every shard/worker shape must match the serial oracle byte-for-byte
 // (after sort) for host-, channel-, and flow-CG policies. No granularity
 // exemptions: initiator-oriented keys make the whole chain nest inside the
-// CG partition.
+// CG partition. The shipped example policies of each CG granularity run the
+// same matrix over superfe_run's default ENTERPRISE trace (20k packets,
+// seed 1), plus a 4 x 4 shape with pinned threads; the 4 x 4 shapes export
+// metrics, whose switch counters carry a {shard=...} label.
 TEST(ShardedReplayTest, BidirectionalTraceExactForEveryCgGranularity) {
   const Trace trace = GenerateTrace(EnterpriseProfile(), 6000, /*seed=*/13);
+  const Trace example_trace = GenerateTrace(EnterpriseProfile(), 20000, /*seed=*/1);
   // The profile generates request/response traffic on the same sockets;
   // make sure both directions are actually present.
-  uint64_t backward = 0;
-  for (const auto& pkt : trace.packets()) {
-    backward += pkt.direction == Direction::kBackward ? 1 : 0;
+  for (const Trace* t : {&trace, &example_trace}) {
+    uint64_t backward = 0;
+    for (const auto& pkt : t->packets()) {
+      backward += pkt.direction == Direction::kBackward ? 1 : 0;
+    }
+    ASSERT_GT(backward, 0u);
+    ASSERT_LT(backward, t->size());
   }
-  ASSERT_GT(backward, 0u);
-  ASSERT_LT(backward, trace.size());
 
+  const std::string basic_stats = ExampleSource("basic_stats");
+  const std::string channel_stats = ExampleSource("channel_stats");
+  const std::string multi_granularity = ExampleSource("multi_granularity");
   const struct {
     const char* name;
     const char* source;
-  } policies[] = {{"host-cg", kHostCgPolicy},
-                  {"channel-cg", kChannelCgPolicy},
-                  {"flow-cg", kFlowStatsPolicy}};
+    const Trace* trace;
+    bool pinned;  // Also run the pinned-threads 4 x 4 shape.
+  } policies[] = {{"host-cg", kHostCgPolicy, &trace, false},
+                  {"channel-cg", kChannelCgPolicy, &trace, false},
+                  {"flow-cg", kFlowStatsPolicy, &trace, false},
+                  {"basic_stats", basic_stats.c_str(), &example_trace, true},
+                  {"channel_stats", channel_stats.c_str(), &example_trace, true},
+                  {"multi_granularity", multi_granularity.c_str(), &example_trace, true}};
   for (const auto& p : policies) {
     auto policy = ParsePolicy(p.name, p.source);
     ASSERT_TRUE(policy.ok()) << p.name << ": " << policy.status().ToString();
 
-    const auto oracle_vectors = RunPipeline(*policy, trace, 1, 0);
+    const auto oracle_vectors = RunPipeline(*policy, *p.trace, 1, 0);
     ASSERT_FALSE(oracle_vectors.empty()) << p.name;
     const auto oracle_multiset = SortedMultiset(oracle_vectors);
     const auto oracle_csv = SortedCsvLines(oracle_vectors);
 
     for (uint32_t shards : {1u, 2u, 4u}) {
       for (uint32_t workers : {0u, 1u, 4u}) {
-        const auto got = RunPipeline(*policy, trace, shards, workers);
-        EXPECT_EQ(oracle_multiset, SortedMultiset(got))
-            << p.name << " shards=" << shards << " workers=" << workers;
-        EXPECT_EQ(oracle_csv, SortedCsvLines(got))
-            << p.name << " shards=" << shards << " workers=" << workers;
+        for (bool pinned : {false, true}) {
+          if (pinned && !(p.pinned && shards == 4 && workers == 4)) {
+            continue;
+          }
+          std::string prom;
+          const bool export_metrics = shards == 4 && workers == 4;
+          const auto got = RunPipeline(*policy, *p.trace, shards, workers, nullptr, pinned,
+                                       export_metrics ? &prom : nullptr);
+          const std::string shape = std::string(p.name) + " shards=" + std::to_string(shards) +
+                                    " workers=" + std::to_string(workers) +
+                                    (pinned ? " pinned" : "");
+          EXPECT_EQ(oracle_multiset, SortedMultiset(got)) << shape;
+          EXPECT_EQ(oracle_csv, SortedCsvLines(got)) << shape;
+          if (export_metrics) {
+            EXPECT_NE(prom.find("\nsuperfe_switch_packets_seen_total{shard="), std::string::npos)
+                << shape;
+          }
+        }
       }
     }
   }
@@ -200,8 +244,8 @@ TEST(ShardedReplayTest, BothDirectionsSelectTheSameShard) {
 
   for (Granularity g : {Granularity::kHost, Granularity::kChannel, Granularity::kSocket,
                         Granularity::kFlow}) {
-    const uint32_t fwd_hash = GroupKey::ForPacket(fwd, g).Hash();
-    const uint32_t bwd_hash = GroupKey::ForPacket(bwd, g).Hash();
+    const uint32_t fwd_hash = InitiatorKey::Of(fwd).Hash(g);
+    const uint32_t bwd_hash = InitiatorKey::Of(bwd).Hash(g);
     EXPECT_EQ(fwd_hash, bwd_hash) << GranularityName(g);
     for (uint32_t shards : {2u, 3u, 4u, 7u}) {
       EXPECT_EQ(fwd_hash % shards, bwd_hash % shards)
@@ -235,8 +279,8 @@ TEST(ShardedReplayTest, FailoverRoutesBothDirectionsTogether) {
                  kProtoTcp};
     bwd.tuple = fwd.tuple.Reversed();
     for (Granularity g : {Granularity::kHost, Granularity::kChannel}) {
-      const uint32_t fwd_hash = GroupKey::ForPacket(fwd, g).Hash();
-      const uint32_t bwd_hash = GroupKey::ForPacket(bwd, g).Hash();
+      const uint32_t fwd_hash = InitiatorKey::Of(fwd).Hash(g);
+      const uint32_t bwd_hash = InitiatorKey::Of(bwd).Hash(g);
       ASSERT_EQ(fwd_hash, bwd_hash) << GranularityName(g);
       const auto f =
           injector.RouteFor(fwd_hash % kMembers, fwd_hash, /*evict_ns=*/2'000'000, kMembers);
@@ -288,7 +332,7 @@ class RecordingSink : public PacketSink {
 };
 
 std::string CgKeyOf(const PacketRecord& pkt) {
-  const GroupKey key = GroupKey::ForPacket(pkt, Granularity::kFlow);
+  const GroupKey key = GroupKey::Of(InitiatorKey::Of(pkt), Granularity::kFlow);
   return std::string(key.bytes.begin(), key.bytes.begin() + key.length);
 }
 
@@ -307,7 +351,7 @@ TEST(ShardedReplayTest, PerGroupOrderPreservedUnderSharding) {
     sinks.push_back(&s);
   }
   const auto shard_of = [](const PacketRecord& pkt) {
-    return GroupKey::ForPacket(pkt, Granularity::kFlow).Hash() % 4;
+    return InitiatorKey::Of(pkt).Hash(Granularity::kFlow) % 4;
   };
   const ReplayReport sharded_report =
       ParallelReplay(trace, options, sinks, /*shard_obs=*/{}, shard_of);

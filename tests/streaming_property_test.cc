@@ -266,7 +266,7 @@ pktstream
     t_ns += 100000 + rng.UniformU64(20000000);
     cell.full_timestamp_ns = t_ns;
     cell.size = static_cast<uint16_t>(64 + rng.UniformU64(1437));
-    cell.fg_tuple = {0x0a000001, 0xac100001, 1000, 80, kProtoTcp};
+    cell.fg_key = InitiatorKey::Pack({0x0a000001, 0xac100001, 1000, 80, kProtoTcp});
     const double t_seconds = static_cast<double>(t_ns) * 1e-9;
     weight.Add(1.0, t_seconds);
     size.Add(cell.size, t_seconds);
@@ -281,7 +281,7 @@ pktstream
     report.cells.assign(cells.begin() + begin, cells.begin() + end);
     PacketBatchSoA soa;
     soa.Assemble(&report, 1);
-    soa.SortByPrefix(PacketBatchSoA::KeyPrefixBytes(Granularity::kFlow));
+    soa.SortByPrefix(InitiatorKey::PrefixBytes(Granularity::kFlow));
     UpdateGroupBatch(*plan, 0, group, soa, 0, soa.rows());
   }
   std::vector<double> out;

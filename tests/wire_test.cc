@@ -120,10 +120,6 @@ TEST(FiveTupleTest, ToBytesLayout) {
   EXPECT_EQ(bytes[12], kProtoTcp);
 }
 
-TEST(FiveTupleTest, IpToStringDotted) {
-  EXPECT_EQ(IpToString(MakeIp(192, 168, 1, 20)), "192.168.1.20");
-}
-
 TEST(PacketRecordTest, DirectionSign) {
   PacketRecord pkt;
   pkt.direction = Direction::kForward;

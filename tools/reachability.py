@@ -101,12 +101,6 @@ ALLOWLIST = {
         "printer: fault_test round-trips FaultPlan::Parse through it",
     "superfe::Value::ToString() const":
         "printer: misc_test pins the text form of policy values",
-    "superfe::FiveTuple::ToString() const":
-        "printer: formats five-tuples for failure messages and debugging",
-    "superfe::PacketRecord::ToString() const":
-        "printer: formats packets for failure messages and debugging",
-    "superfe::IpToString(unsigned int)":
-        "printer: FiveTuple::ToString's address form, pinned by wire_test",
 }
 
 # The CMake files whose executables are products, and the directory (under the
