@@ -38,21 +38,6 @@ void BM_WelfordAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_WelfordAdd);
 
-void BM_WelfordAddBatch(benchmark::State& state) {
-  WelfordStats stats;
-  Rng rng(1);
-  std::vector<double> xs(static_cast<size_t>(state.range(0)));
-  for (double& x : xs) {
-    x = rng.UniformDouble(0, 1500);
-  }
-  for (auto _ : state) {
-    stats.AddBatch(xs.data(), xs.size());
-    benchmark::DoNotOptimize(stats);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WelfordAddBatch)->Arg(16)->Arg(256)->Arg(4096);
-
 void BM_NicWelfordAdd(benchmark::State& state) {
   NicWelfordStats stats;
   int64_t x = 1000;

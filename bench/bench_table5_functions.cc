@@ -40,9 +40,9 @@ double MeasureUpdateNs(const ReduceSpec& spec) {
   return ElapsedNs(start) / kSamples;
 }
 
-// A damped function is a lane of its group's damped block: times one
-// UpdateGroup of a flow plan that holds only that function (window step and
-// lane update), directions alternating.
+// A damped function is a lane of its group's damped block: times one one-row
+// UpdateGroupBatch of a flow plan that holds only that function (window step
+// and lane update), directions alternating, over a batch assembled up front.
 double MeasureLaneUpdateNs(const char* label) {
   const std::string source = std::string("pktstream\n  .groupby(flow)\n  .reduce(size, [") +
                              label + "])\n  .collect(flow)\n";
@@ -51,16 +51,19 @@ double MeasureLaneUpdateNs(const char* label) {
           .value();
   GroupState group = GroupState::Make(plan, 0, kNicOptions);
   Rng rng(1);
-  std::vector<MgpvCell> cells(1024);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    cells[i].size = static_cast<uint16_t>(rng.UniformU64(1501));
-    cells[i].direction = i % 2 == 0 ? Direction::kForward : Direction::kBackward;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSamples; ++i) {
-    MgpvCell& cell = cells[i & 1023];
+  MgpvReport report;
+  report.cells.resize(kSamples);
+  for (size_t i = 0; i < report.cells.size(); ++i) {
+    MgpvCell& cell = report.cells[i];
+    cell.size = static_cast<uint16_t>(rng.UniformU64(1501));
+    cell.direction = i % 2 == 0 ? Direction::kForward : Direction::kBackward;
     cell.full_timestamp_ns = static_cast<uint64_t>(i) * 100000;  // 0.1 ms apart.
-    UpdateGroup(plan, 0, group, cell);
+  }
+  PacketBatchSoA batch;
+  batch.Assemble(&report, 1);
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t row = 0; row < batch.rows(); ++row) {
+    UpdateGroupBatch(plan, 0, group, batch, row, row + 1);
   }
   return ElapsedNs(start) / kSamples;
 }
@@ -113,8 +116,8 @@ void Run() {
   std::printf(
       "\nState bytes feed the ILP placement; ALU/divider/memory counts feed the cycle\n"
       "model; the measured column is this host's C++ update rate (simulation speed):\n"
-      "one Reducer::Update, or for a damped function one UpdateGroup of a flow plan\n"
-      "holding only it (its window step and lane update).\n");
+      "one Reducer::Update, or for a damped function one one-row UpdateGroupBatch of a\n"
+      "flow plan holding only it (its window step and lane update).\n");
 }
 
 }  // namespace

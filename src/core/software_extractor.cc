@@ -17,6 +17,7 @@ Result<std::unique_ptr<SoftwareExtractor>> SoftwareExtractor::Create(
 SoftwareExtractor::SoftwareExtractor(const CompiledPolicy& compiled, ExecPlan plan,
                                      const ExecOptions& options)
     : compiled_(compiled), plan_(std::move(plan)), options_(options) {
+  packet_.cells.resize(1);
   for (size_t i = 0; i < compiled_.nic_program.granularities.size(); ++i) {
     tables_.push_back(std::make_unique<GroupTable<GroupState>>(65536, 8));
   }
@@ -26,13 +27,15 @@ void SoftwareExtractor::ProcessPacket(const PacketRecord& pkt, FeatureSink* sink
   if (!compiled_.switch_program.filter.Matches(pkt)) {
     return;
   }
-  // Software path sees the raw packet; build the equivalent cell.
-  MgpvCell cell;
+  // Software path sees the raw packet; build the equivalent cell and run it
+  // as a one-row batch.
+  MgpvCell& cell = packet_.cells[0];
   cell.size = static_cast<uint16_t>(std::min<uint32_t>(pkt.wire_bytes, 0xffff));
   cell.tstamp = static_cast<uint32_t>(pkt.timestamp_ns);
   cell.direction = pkt.direction;
   cell.full_timestamp_ns = pkt.timestamp_ns;
   cell.fg_key = InitiatorKey::Of(pkt);
+  batch_.Assemble(&packet_, 1);
 
   const auto& grans = compiled_.nic_program.granularities;
   std::array<const GroupState*, 4> touched{};
@@ -41,7 +44,7 @@ void SoftwareExtractor::ProcessPacket(const PacketRecord& pkt, FeatureSink* sink
     GroupState& group = tables_[gi]->FindOrCreate(
         GroupKey::Of(cell.fg_key, grans[gi]), cell.fg_key.Hash(grans[gi]),
         [&] { return GroupState::Make(plan_, gi, options_); }, via_dram);
-    UpdateGroup(plan_, gi, group, cell);
+    UpdateGroupBatch(plan_, gi, group, batch_, 0, 1);
     touched[gi] = &group;
   }
 

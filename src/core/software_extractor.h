@@ -80,6 +80,10 @@ class SoftwareExtractor {
   ExecPlan plan_;
   ExecOptions options_;
   GroupTables tables_;
+  // The current packet as a one-cell report, and its one-row batch view:
+  // the NIC's update kernel runs one row per packet.
+  MgpvReport packet_;
+  PacketBatchSoA batch_;
   uint64_t vectors_ = 0;
 };
 

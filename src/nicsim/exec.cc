@@ -15,7 +15,7 @@ namespace superfe {
 // ft_percent bucket index: floor(log2(v)) + 1, clamped (0 for v < 1).
 // batchkern::Log2Bucket computes this from the IEEE exponent field — exact
 // at power-of-two boundaries where an earlier std::log2-based bucketer
-// could round across, and identical between the scalar and batch paths.
+// could round across, and identical at every SIMD dispatch level.
 namespace exec_internal {
 
 void LogHist::AddBatch(const double* v, size_t n) {
@@ -141,44 +141,21 @@ Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool direct
   }
 }
 
-void Reducer::Update(double value) {
-  std::visit(
-      Overloaded{
-          [&](exec_internal::SumAgg& agg) { agg.sum += value; },
-          [&](exec_internal::MinMaxAgg& agg) {
-            if (!agg.any || value < agg.min) {
-              agg.min = value;
-            }
-            if (!agg.any || value > agg.max) {
-              agg.max = value;
-            }
-            agg.any = true;
-          },
-          [&](WelfordStats& w) { w.Add(value); },
-          [&](NicWelfordStats& w) { w.Add(static_cast<int64_t>(std::llround(value))); },
-          [&](StreamingMoments& moments) { moments.Add(value); },
-          [&](HyperLogLog& hll) { hll.AddU64(static_cast<uint64_t>(std::llround(value))); },
-          [&](exec_internal::ArrayAgg& agg) {
-            if (agg.values.size() < agg.limit) {
-              agg.values.push_back(value);
-            }
-          },
-          [&](FixedHistogram& hist) { hist.Add(value); },
-          [&](exec_internal::LogHist& hist) {
-            hist.buckets[batchkern::Log2Bucket(value)]++;
-            hist.total++;
-          },
-      },
-      impl_);
-}
-
-void Reducer::UpdateBatch(const double* values, size_t n, std::vector<uint64_t>& scratch_u64) {
+void Reducer::UpdateBatch(const double* values, size_t n) {
   if (n == 0) {
     return;
   }
   std::visit(
       Overloaded{
-          [&](exec_internal::SumAgg& agg) { agg.sum += batchkern::Sum(values, n); },
+          [&](exec_internal::SumAgg& agg) {
+            // A local accumulator: `values` may alias agg.sum for all the
+            // compiler knows, which would store the sum every step.
+            double sum = agg.sum;
+            for (size_t i = 0; i < n; ++i) {
+              sum += values[i];
+            }
+            agg.sum = sum;
+          },
           [&](exec_internal::MinMaxAgg& agg) {
             double mn = 0.0, mx = 0.0;
             batchkern::MinMax(values, n, &mn, &mx);
@@ -190,17 +167,30 @@ void Reducer::UpdateBatch(const double* values, size_t n, std::vector<uint64_t>&
             }
             agg.any = true;
           },
-          [&](WelfordStats& w) { w.AddBatch(values, n); },
-          [&](NicWelfordStats& w) { w.AddBatchRounded(values, n); },
-          [&](StreamingMoments& moments) { moments.AddBatch(values, n); },
-          [&](HyperLogLog& hll) {
-            if (scratch_u64.size() < n) {
-              scratch_u64.resize(n);
-            }
+          [&](WelfordStats& w) {
             for (size_t i = 0; i < n; ++i) {
-              scratch_u64[i] = static_cast<uint64_t>(std::llround(values[i]));
+              w.Add(values[i]);
             }
-            hll.AddU64Batch(scratch_u64.data(), n);
+          },
+          [&](NicWelfordStats& w) {
+            for (size_t i = 0; i < n; ++i) {
+              w.Add(static_cast<int64_t>(std::llround(values[i])));
+            }
+          },
+          [&](StreamingMoments& moments) {
+            for (size_t i = 0; i < n; ++i) {
+              moments.Add(values[i]);
+            }
+          },
+          [&](HyperLogLog& hll) {
+            uint64_t rounded[256];
+            for (size_t begin = 0; begin < n; begin += 256) {
+              const size_t m = std::min<size_t>(n - begin, 256);
+              for (size_t i = 0; i < m; ++i) {
+                rounded[i] = static_cast<uint64_t>(std::llround(values[begin + i]));
+              }
+              hll.AddU64Batch(rounded, m);
+            }
           },
           [&](exec_internal::ArrayAgg& agg) {
             for (size_t i = 0; i < n && agg.values.size() < agg.limit; ++i) {
@@ -573,53 +563,91 @@ void PacketBatchSoA::Assemble(const MgpvReport* reports, size_t count) {
   for (size_t r = 0; r < count; ++r) {
     total += reports[r].cells.size();
   }
-  cells_unsorted_.clear();
-  hi_unsorted_.clear();
-  lo_unsorted_.clear();
-  report_unsorted_.clear();
-  cells_unsorted_.reserve(total);
-  hi_unsorted_.reserve(total);
-  lo_unsorted_.reserve(total);
-  report_unsorted_.reserve(total);
-  for (size_t r = 0; r < count; ++r) {
-    for (const MgpvCell& cell : reports[r].cells) {
-      cells_unsorted_.push_back(&cell);
-      hi_unsorted_.push_back(cell.fg_key.hi);
-      lo_unsorted_.push_back(cell.fg_key.lo);
-      report_unsorted_.push_back(static_cast<uint32_t>(r));
-    }
-  }
-
+  cells.resize(total);
+  key_hi.resize(total);
+  key_lo.resize(total);
+  pkt_size.resize(total);
+  tstamp_ns.resize(total);
+  dir_sign.resize(total);
+  t_seconds.resize(total);
+  direction.resize(total);
+  report_.resize(total);
   // Columns start in arrival order; SortByPrefix() permutes them per
   // granularity so each call sees that granularity's groups as contiguous
-  // runs with arrival order preserved *within* every run (the ipt/burst
-  // recurrences and the sequential integer kernels depend on it).
-  order_.resize(total);
-  for (size_t i = 0; i < total; ++i) {
-    order_[i] = static_cast<uint32_t>(i);
+  // runs with arrival order preserved *within* every run.
+  size_t row = 0;
+  for (size_t r = 0; r < count; ++r) {
+    for (const MgpvCell& cell : reports[r].cells) {
+      SetRow(row++, cell, static_cast<uint32_t>(r));
+    }
   }
   sorted_prefix_ = 0;
   arrival_order_ = true;
-  Gather();
+  fg_hash_valid_ = false;
 }
 
-template <typename Less>
-void PacketBatchSoA::SortBy(Less less) {
-  // Always re-sort from arrival order: refining an existing finer-prefix
-  // order would interleave a coarse group's sub-groups out of arrival order.
-  for (size_t i = 0; i < order_.size(); ++i) {
-    order_[i] = static_cast<uint32_t>(i);
+void PacketBatchSoA::SetRow(size_t row, const MgpvCell& cell, uint32_t report) {
+  cells[row] = &cell;
+  key_hi[row] = cell.fg_key.hi;
+  key_lo[row] = cell.fg_key.lo;
+  pkt_size[row] = static_cast<double>(cell.size);
+  const double t_ns = static_cast<double>(cell.full_timestamp_ns);
+  tstamp_ns[row] = t_ns;
+  t_seconds[row] = t_ns * 1e-9;
+  dir_sign[row] = cell.direction == Direction::kForward ? 1.0 : -1.0;
+  direction[row] = cell.direction;
+  report_[row] = report;
+}
+
+namespace {
+
+// True when key a sorts before key b on their first `kPrefixBytes` bytes
+// (host = hi >> 32, channel = hi, socket/flow = both words).
+template <int kPrefixBytes>
+bool PrefixLess(uint64_t hi_a, uint64_t lo_a, uint64_t hi_b, uint64_t lo_b) {
+  if constexpr (kPrefixBytes == 4) {
+    return (hi_a >> 32) < (hi_b >> 32);
+  } else if constexpr (kPrefixBytes == 8) {
+    return hi_a < hi_b;
+  } else {
+    return hi_a != hi_b ? hi_a < hi_b : lo_a < lo_b;
   }
-  if (std::is_sorted(order_.begin(), order_.end(), less)) {
-    // The rows arrived in this order, so the stable sort is the identity.
-    if (!arrival_order_) {
-      arrival_order_ = true;
-      Gather();
+}
+
+}  // namespace
+
+template <int kPrefixBytes>
+void PacketBatchSoA::SortBy() {
+  if (arrival_order_) {
+    // Rows that arrived in prefix order stay put: the stable sort would be
+    // the identity. Otherwise keep the arrival order for later sorts.
+    size_t i = 1;
+    while (i < rows() &&
+           !PrefixLess<kPrefixBytes>(key_hi[i], key_lo[i], key_hi[i - 1], key_lo[i - 1])) {
+      ++i;
     }
-    return;
+    if (i >= rows()) {
+      return;
+    }
+    cells_unsorted_ = cells;
+    hi_unsorted_ = key_hi;
+    lo_unsorted_ = key_lo;
+    report_unsorted_ = report_;
   }
-  std::stable_sort(order_.begin(), order_.end(), less);
-  arrival_order_ = false;
+  // Always sort from arrival order: refining an existing finer-prefix order
+  // would interleave a coarse group's sub-groups out of arrival order.
+  order_.resize(cells_unsorted_.size());
+  for (size_t r = 0; r < order_.size(); ++r) {
+    order_[r] = static_cast<uint32_t>(r);
+  }
+  const auto less = [this](uint32_t a, uint32_t b) {
+    return PrefixLess<kPrefixBytes>(hi_unsorted_[a], lo_unsorted_[a], hi_unsorted_[b],
+                                    lo_unsorted_[b]);
+  };
+  arrival_order_ = std::is_sorted(order_.begin(), order_.end(), less);
+  if (!arrival_order_) {
+    std::stable_sort(order_.begin(), order_.end(), less);
+  }
   Gather();
 }
 
@@ -630,46 +658,21 @@ void PacketBatchSoA::SortByPrefix(int prefix_bytes) {
   sorted_prefix_ = prefix_bytes;
   switch (prefix_bytes) {
     case 4:
-      SortBy([this](uint32_t a, uint32_t b) {
-        return (hi_unsorted_[a] >> 32) < (hi_unsorted_[b] >> 32);
-      });
+      SortBy<4>();
       break;
     case 8:
-      SortBy([this](uint32_t a, uint32_t b) { return hi_unsorted_[a] < hi_unsorted_[b]; });
+      SortBy<8>();
       break;
     default:
-      SortBy([this](uint32_t a, uint32_t b) {
-        if (hi_unsorted_[a] != hi_unsorted_[b]) {
-          return hi_unsorted_[a] < hi_unsorted_[b];
-        }
-        return lo_unsorted_[a] < lo_unsorted_[b];
-      });
+      SortBy<13>();
       break;
   }
 }
 
 void PacketBatchSoA::Gather() {
-  const size_t total = cells_unsorted_.size();
-  cells.resize(total);
-  key_hi.resize(total);
-  key_lo.resize(total);
-  pkt_size.resize(total);
-  tstamp_ns.resize(total);
-  dir_sign.resize(total);
-  t_seconds.resize(total);
-  direction.resize(total);
-  for (size_t i = 0; i < total; ++i) {
-    const uint32_t src = order_[i];
-    const MgpvCell& cell = *cells_unsorted_[src];
-    cells[i] = &cell;
-    key_hi[i] = hi_unsorted_[src];
-    key_lo[i] = lo_unsorted_[src];
-    pkt_size[i] = static_cast<double>(cell.size);
-    const double t_ns = static_cast<double>(cell.full_timestamp_ns);
-    tstamp_ns[i] = t_ns;
-    t_seconds[i] = t_ns * 1e-9;
-    dir_sign[i] = cell.direction == Direction::kForward ? 1.0 : -1.0;
-    direction[i] = cell.direction;
+  for (size_t r = 0; r < order_.size(); ++r) {
+    const uint32_t src = order_[r];
+    SetRow(r, *cells_unsorted_[src], report_unsorted_[src]);
   }
   fg_hash_valid_ = false;
 }
@@ -716,66 +719,6 @@ GroupState GroupState::Make(const ExecPlan& plan, size_t gi, const ExecOptions& 
   return state;
 }
 
-void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvCell& cell) {
-  const double t_ns = static_cast<double>(cell.full_timestamp_ns);
-  const double t_seconds = t_ns * 1e-9;
-  const int dir_sign = cell.direction == Direction::kForward ? 1 : -1;
-  double& last_ts = group.last_tstamp_ns[static_cast<int>(cell.direction)];
-
-  // Builtin fields + mapped fields.
-  double fields[64];
-  fields[ExecPlan::kFieldSize] = static_cast<double>(cell.size);
-  fields[ExecPlan::kFieldTstamp] = t_ns;
-  fields[ExecPlan::kFieldDirection] = static_cast<double>(dir_sign);
-  // The FG-key hash is the switch-computed index shipped with the cell; a
-  // double holds 32 bits exactly. Only a plan that reads fgkey computes it.
-  if (plan.uses_fg_key) {
-    fields[ExecPlan::kFieldFgKey] = static_cast<double>(cell.fg_key.Crc(0));
-  }
-
-  for (const auto& m : plan.maps) {
-    const double src = m.src >= 0 ? fields[m.src] : 0.0;
-    double dst = 0.0;
-    switch (m.fn) {
-      case MapFn::kOne:
-        dst = 1.0;
-        break;
-      case MapFn::kIpt:
-        dst = last_ts < 0.0 ? 0.0 : t_ns - last_ts;
-        break;
-      case MapFn::kSpeed: {
-        const double ipt_ns = last_ts < 0.0 ? 0.0 : t_ns - last_ts;
-        dst = ipt_ns > 0.0 ? fields[ExecPlan::kFieldSize] / (ipt_ns * 1e-9) : 0.0;
-        break;
-      }
-      case MapFn::kBurst:
-        group.burst_len = (group.last_dir == dir_sign) ? group.burst_len + 1.0 : 1.0;
-        dst = group.burst_len;
-        break;
-      case MapFn::kDirection:
-        dst = src * dir_sign;
-        break;
-    }
-    fields[m.dst] = dst;
-  }
-
-  const auto& gp = plan.per_granularity[gi];
-  for (size_t i = 0; i < gp.undamped.size(); ++i) {
-    group.reducers[i].Update(fields[gp.owners[gp.undamped[i]].src]);
-  }
-  if (group.lanes != nullptr) {
-    damped_lanes::Update(group.damped_mode, gp.lanes, group.lanes.get(), t_seconds,
-                         cell.direction == Direction::kForward, fields);
-  }
-
-  last_ts = t_ns;
-  group.last_dir = dir_sign;
-  group.packets++;
-  group.last_seen_ns = cell.full_timestamp_ns;
-  group.last_fg_key = cell.fg_key;
-  group.last_direction = cell.direction;
-}
-
 void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
                       PacketBatchSoA& soa, size_t begin, size_t end) {
   const auto& gp = plan.per_granularity[gi];
@@ -783,8 +726,8 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
 
   // Column table: builtin fields come straight from the SoA; map outputs
   // overlay their dst slot as they are wired up, so each map's source
-  // pointer (snapshotted in program order below) resolves exactly like the
-  // scalar fields[] array — including a map dst that shadows a builtin.
+  // pointer (snapshotted in program order below) resolves to the latest
+  // write in program order — including a map dst that shadows a builtin.
   const double* col[64];
   col[ExecPlan::kFieldSize] = soa.pkt_size.data();
   col[ExecPlan::kFieldTstamp] = soa.tstamp_ns.data();
@@ -818,8 +761,7 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
   }
 
   // Maps run row-major: ipt/speed/burst are recurrences over the group's
-  // packet sequence. The scalar path advances last_ts/last_dir after the
-  // reduces; no reducer reads them, so advancing per row here is equivalent.
+  // packet sequence.
   for (size_t r = begin; r < end; ++r) {
     const double t_ns = soa.tstamp_ns[r];
     const int dir_sign = soa.dir_sign[r] > 0.0 ? 1 : -1;
@@ -859,8 +801,7 @@ void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
   // damped lanes, whose decays follow consecutive timestamps, go row by
   // row.
   for (size_t i = 0; i < gp.undamped.size(); ++i) {
-    group.reducers[i].UpdateBatch(col[gp.owners[gp.undamped[i]].src] + begin, n,
-                                  soa.scratch_u64);
+    group.reducers[i].UpdateBatch(col[gp.owners[gp.undamped[i]].src] + begin, n);
   }
   if (group.lanes != nullptr) {
     double row[64];

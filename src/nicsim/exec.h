@@ -132,15 +132,13 @@ class Reducer {
   // through MGPV, since each lives inside one coarse-granularity group.
   static StateFamily Family(const ReduceSpec& spec, bool directional);
 
-  // Feeds one sample.
-  void Update(double value);
+  // Feeds n samples in arrival order (one group run of a sorted batch). Any
+  // split of a run gives the same bits: the double families (sum, Welford,
+  // moments) fold value by value, and the others are integer-exact.
+  void UpdateBatch(const double* values, size_t n);
 
-  // Feeds n samples at once (one group run of a sorted batch).
-  // `scratch_u64` is caller-provided conversion scratch (grown as needed).
-  // Equivalent to n Update calls: bit-identical for the
-  // integer/fixed-point/order-independent kernels, ULP-bounded for the
-  // double sum/Welford/moments kernels (see streaming/batch.h).
-  void UpdateBatch(const double* values, size_t n, std::vector<uint64_t>& scratch_u64);
+  // Feeds one sample: a one-value run.
+  void Update(double value) { UpdateBatch(&value, 1); }
 
   // Writes the n ops, all reading this state, at their offsets of `out`
   // (zero-filled by the caller). The state is visited once.
@@ -209,8 +207,8 @@ struct ExecPlan {
   std::vector<MapStep> maps;
   std::vector<GranularityPlan> per_granularity;  // Chain order.
   uint32_t width = 0;  // Feature-vector width, all granularities.
-  // True when any map or reduce reads the fgkey builtin — both paths compute
-  // the per-cell CRC only when needed (the batch path lazily, per column).
+  // True when any map or reduce reads the fgkey builtin: the per-cell CRC
+  // is computed only then, lazily, per column (PacketBatchSoA::EnsureFgHash).
   bool uses_fg_key = false;
 
   static Result<ExecPlan> FromProgram(const NicProgram& program);
@@ -222,7 +220,7 @@ struct ExecPlan {
 // sort by a granularity's prefix makes that granularity's groups contiguous
 // runs, delimited by integer prefix compares on the key words — while
 // keeping each run internally in arrival order (the ipt/burst recurrences
-// and the sequential integer kernels are order-dependent). Assemble()
+// and the in-order folds are order-dependent). Assemble()
 // leaves the columns in arrival order; callers SortByPrefix() per
 // granularity before walking runs. Reused across batches to amortize
 // allocations.
@@ -240,9 +238,8 @@ struct PacketBatchSoA {
   std::vector<Direction> direction;
 
   // Scratch shared by UpdateGroupBatch calls over this batch: per-field
-  // columns for map outputs, u64 conversion buffer for f_card.
+  // columns for map outputs.
   std::vector<std::vector<double>> field_scratch;
-  std::vector<uint64_t> scratch_u64;
 
   size_t rows() const { return cells.size(); }
 
@@ -265,23 +262,29 @@ struct PacketBatchSoA {
 
   // Index, into the Assemble() call's reports, of the report row `row`
   // came from.
-  uint32_t ReportOf(size_t row) const { return report_unsorted_[order_[row]]; }
+  uint32_t ReportOf(size_t row) const { return report_[row]; }
 
  private:
-  // Stable-sorts order_ from arrival order by `less`, then gathers.
-  template <typename Less>
-  void SortBy(Less less);
+  // Writes every column of row `row` from `cell` of report `report`.
+  void SetRow(size_t row, const MgpvCell& cell, uint32_t report);
 
-  // Permutes the public columns by order_.
+  // SortByPrefix for a compile-time prefix.
+  template <int kPrefixBytes>
+  void SortBy();
+
+  // Writes the rows in order_ from the arrival-order copies.
   void Gather();
 
-  std::vector<uint32_t> order_;
+  std::vector<uint32_t> report_;  // Each row's report index.
+  std::vector<uint32_t> order_;   // Each sorted row's arrival index.
+  // The arrival order, copied from the columns before the first sort that
+  // permutes them.
   std::vector<const MgpvCell*> cells_unsorted_;
   std::vector<uint64_t> hi_unsorted_;
   std::vector<uint64_t> lo_unsorted_;
   std::vector<uint32_t> report_unsorted_;
   int sorted_prefix_ = 0;  // 0 = arrival order.
-  bool arrival_order_ = true;  // order_ is the identity.
+  bool arrival_order_ = true;  // The columns are in arrival order.
   bool fg_hash_valid_ = false;
 };
 
@@ -310,15 +313,15 @@ struct GroupState {
   static GroupState Make(const ExecPlan& plan, size_t gi, const ExecOptions& options);
 };
 
-// Updates one group (at granularity index `gi`) with one cell.
-void UpdateGroup(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvCell& cell);
-
-// Updates one group with the sorted batch rows [begin, end) — one
-// contiguous run of the group's cells. Maps run row-major (the ipt/burst
-// recurrences are inherently sequential); each undamped owner then consumes
-// its source column as one bulk call, and the damped lanes take the rows in
-// order. Equivalent to per-cell UpdateGroup calls under the exactness
-// contract in streaming/batch.h.
+// Updates one group (at granularity index `gi`) with the batch rows
+// [begin, end) — one contiguous run of the group's cells, in arrival order.
+// The only function that changes group state: batch collection feeds whole
+// runs, per-packet collection and the software baseline one-row runs. Maps
+// run row-major (the ipt/burst recurrences are inherently sequential); each
+// undamped owner then consumes its source column as one UpdateBatch call,
+// and the damped lanes take the rows in order. Any split of a group's cells
+// into runs gives the same bits (docs/ARCHITECTURE.md, "Exactness
+// contract").
 void UpdateGroupBatch(const ExecPlan& plan, size_t gi, GroupState& group,
                       PacketBatchSoA& soa, size_t begin, size_t end);
 

@@ -143,71 +143,15 @@ void FeNic::OnMgpvBatch(const MgpvReport* reports, size_t count) {
 }
 
 void FeNic::ProcessReportsLocked(const MgpvReport* reports, size_t count) {
-  // Per-packet collect policies emit a vector per cell in arrival order —
-  // they stay on the per-cell reference path.
-  if (!config_.batch_kernels || compiled_.nic_program.collect.per_packet) {
-    for (size_t r = 0; r < count; ++r) {
-      ProcessReportScalarLocked(reports[r]);
-    }
-    return;
-  }
   if (config_.idle_timeout_ns > 0) {
     // Idle eviction is decided at report boundaries; batch per report so
-    // eviction interleaves exactly like the scalar path.
+    // eviction interleaves with the cells in arrival order.
     for (size_t r = 0; r < count; ++r) {
       ProcessBatchLocked(&reports[r], 1);
     }
     return;
   }
   ProcessBatchLocked(reports, count);
-}
-
-void FeNic::ProcessReportScalarLocked(const MgpvReport& report) {
-  stats_.reports++;
-  obs::Inc(local_.reports);
-  perf_.AccountReport();
-  if (!report.cells.empty()) {
-    EvictIdleGroupsLocked(report.cells.back().full_timestamp_ns);
-  }
-
-  const auto& grans = compiled_.nic_program.granularities;
-  const bool per_packet = compiled_.nic_program.collect.per_packet;
-
-  for (const auto& cell : report.cells) {
-    stats_.cells++;
-    obs::Inc(local_.cells);
-    CellWork work = base_cell_work_;
-
-    // Locate and update the group at every granularity in the chain. The
-    // CG group's key and hash come with the report (§6.2); the cell's
-    // initiator key derives every finer one as a prefix (§5.1).
-    std::array<const GroupState*, 4> touched{};
-    for (size_t gi = 0; gi < grans.size(); ++gi) {
-      const bool cg = grans[gi] == report.cg_key.granularity;
-      const GroupKey key = cg ? report.cg_key : GroupKey::Of(cell.fg_key, grans[gi]);
-      const uint32_t hash = cg ? report.hash : cell.fg_key.Hash(grans[gi]);
-      bool via_dram = false;
-      GroupState& group = tables_[gi]->FindOrCreate(
-          key, hash, [&] { return GroupState::Make(plan_, gi, config_.exec); }, via_dram);
-      if (via_dram) {
-        stats_.dram_detours++;
-        obs::Inc(local_.dram_detours);
-        work.mem_accesses += 1;
-        work.mem_latency_cycles += config_.arch.dram_latency_cycles;
-      }
-      UpdateGroup(plan_, gi, group, cell);
-      touched[gi] = &group;
-    }
-    perf_.AccountCell(work);
-
-    if (per_packet) {
-      stats_.vectors_emitted++;
-      obs::Inc(local_.vectors_emitted);
-      sink_->OnFeatureVector(AssembleVector(
-          plan_, tables_, touched, cell.fg_key,
-          GroupKey::Of(cell.fg_key, compiled_.switch_program.fg()), cell.full_timestamp_ns));
-    }
-  }
 }
 
 void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
@@ -229,12 +173,13 @@ void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
   obs::Inc(local_.cells, total_cells);
 
   batch_.Assemble(reports, count);
+  if (compiled_.nic_program.collect.per_packet) {
+    ProcessRowsLocked(reports);
+    return;
+  }
 
   // Walk each granularity's contiguous runs of the sorted batch: one table
-  // access and one bulk UpdateGroupBatch per (group, run) instead of per
-  // cell. A CG run takes its key and hash from its report, as every report
-  // of the run shares them (the reuse_switch_hash credit, §6.2); a finer
-  // run derives them from its first cell's initiator key.
+  // access and one UpdateGroupBatch per (group, run) instead of per cell.
   const auto& grans = compiled_.nic_program.granularities;
   const Granularity cg = reports[0].cg_key.granularity;
   uint64_t runs_total = 0;
@@ -249,23 +194,9 @@ void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
       while (end < total_cells && batch_.SamePrefix(begin, end, prefix)) {
         ++end;
       }
-      GroupKey key;
-      uint32_t hash = 0;
-      if (grans[gi] == cg) {
-        const MgpvReport& report = reports[batch_.ReportOf(begin)];
-        key = report.cg_key;
-        hash = report.hash;
-      } else {
-        const InitiatorKey& fg_key = batch_.cells[begin]->fg_key;
-        key = GroupKey::Of(fg_key, grans[gi]);
-        hash = fg_key.Hash(grans[gi]);
-      }
       bool via_dram = false;
-      GroupState& group = tables_[gi]->FindOrCreate(
-          key, hash, [&] { return GroupState::Make(plan_, gi, config_.exec); }, via_dram);
+      GroupState& group = GroupOfLocked(gi, reports, begin, via_dram);
       if (via_dram) {
-        stats_.dram_detours++;
-        obs::Inc(local_.dram_detours);
         ++dram_runs;
       }
       UpdateGroupBatch(plan_, gi, group, batch_, begin, end);
@@ -285,6 +216,56 @@ void FeNic::ProcessBatchLocked(const MgpvReport* reports, size_t count) {
   work.dram_runs = dram_runs;
   work.granularities = static_cast<uint32_t>(grans.size());
   perf_.AccountBatch(work);
+}
+
+void FeNic::ProcessRowsLocked(const MgpvReport* reports) {
+  const auto& grans = compiled_.nic_program.granularities;
+  const Granularity fg = compiled_.switch_program.fg();
+  for (size_t row = 0; row < batch_.rows(); ++row) {
+    CellWork work = base_cell_work_;
+    std::array<const GroupState*, 4> touched{};
+    for (size_t gi = 0; gi < grans.size(); ++gi) {
+      bool via_dram = false;
+      GroupState& group = GroupOfLocked(gi, reports, row, via_dram);
+      if (via_dram) {
+        work.mem_accesses += 1;
+        work.mem_latency_cycles += config_.arch.dram_latency_cycles;
+      }
+      UpdateGroupBatch(plan_, gi, group, batch_, row, row + 1);
+      touched[gi] = &group;
+    }
+    perf_.AccountCell(work);
+
+    const MgpvCell& cell = *batch_.cells[row];
+    stats_.vectors_emitted++;
+    obs::Inc(local_.vectors_emitted);
+    sink_->OnFeatureVector(AssembleVector(plan_, tables_, touched, cell.fg_key,
+                                          GroupKey::Of(cell.fg_key, fg),
+                                          cell.full_timestamp_ns));
+  }
+}
+
+GroupState& FeNic::GroupOfLocked(size_t gi, const MgpvReport* reports, size_t row,
+                                 bool& via_dram) {
+  const Granularity g = compiled_.nic_program.granularities[gi];
+  GroupKey key;
+  uint32_t hash = 0;
+  if (g == reports[0].cg_key.granularity) {
+    const MgpvReport& report = reports[batch_.ReportOf(row)];
+    key = report.cg_key;
+    hash = report.hash;
+  } else {
+    const InitiatorKey& fg_key = batch_.cells[row]->fg_key;
+    key = GroupKey::Of(fg_key, g);
+    hash = fg_key.Hash(g);
+  }
+  GroupState& group = tables_[gi]->FindOrCreate(
+      key, hash, [&] { return GroupState::Make(plan_, gi, config_.exec); }, via_dram);
+  if (via_dram) {
+    stats_.dram_detours++;
+    obs::Inc(local_.dram_detours);
+  }
+  return group;
 }
 
 void FeNic::EmitVector(size_t unit_gi, const GroupKey& unit_key, const GroupState& unit_group) {

@@ -36,12 +36,6 @@ struct FeNicConfig {
   NicOptimizations optimizations = NicOptimizations::All();
   ExecOptions exec;
 
-  // SoA batch execution path: sort each worker batch by FG key and apply
-  // per-group runs as bulk reducer calls (UpdateGroupBatch). Identical
-  // output under the exactness contract in streaming/batch.h; disable to
-  // fall back to the per-cell scalar path (--no-batch-kernels).
-  bool batch_kernels = true;
-
   uint32_t group_table_indices = 16384;
   uint32_t group_table_width = 4;
 
@@ -97,11 +91,10 @@ class FeNic : public MgpvSink {
   void OnMgpv(const MgpvReport& report) override;
   void OnFgSync(const FgSyncMessage& sync) override;
 
-  // Batch entry point: processes `count` reports in one locked pass. With
-  // batch kernels enabled (and batch-mode collection) the reports' cells
-  // are assembled into one PacketBatchSoA, so group runs span report
-  // boundaries; otherwise equivalent to count OnMgpv calls. The NicCluster
-  // worker feeds its whole dequeued batch here.
+  // Batch entry point: processes `count` reports in one locked pass. The
+  // reports' cells are assembled into one PacketBatchSoA, so group runs
+  // span report boundaries; any split of the reports into calls gives the
+  // same output. The NicCluster worker feeds its whole dequeued batch here.
   void OnMgpvBatch(const MgpvReport* reports, size_t count);
 
   // Emits feature vectors for all live groups of the collect unit and
@@ -147,12 +140,23 @@ class FeNic : public MgpvSink {
   // is per-packet). Called per report; the caller holds mu_.
   void EvictIdleGroupsLocked(uint64_t now_ns);
 
-  // Routes reports to the batch or scalar path (per config/collect mode).
+  // Processes the reports as one batch, or one batch per report when idle
+  // eviction is on.
   void ProcessReportsLocked(const MgpvReport* reports, size_t count);
-  // Per-cell reference path (also serves per-packet collect policies).
-  void ProcessReportScalarLocked(const MgpvReport& report);
-  // SoA path: assemble, sort, and apply per-group runs as bulk calls.
+  // Assembles the reports' cells into batch_ and updates their groups:
+  // batch collection sorts each granularity's groups into runs and
+  // applies each run at once; per-packet collection hands on to
+  // ProcessRowsLocked.
   void ProcessBatchLocked(const MgpvReport* reports, size_t count);
+  // Per-packet collection over batch_ in arrival order (no sort): each row
+  // is a one-row run at every granularity of the chain, costed per cell,
+  // and its vector is emitted before the next row.
+  void ProcessRowsLocked(const MgpvReport* reports);
+  // The group of batch_ row `row` at granularity index `gi`, found or
+  // created; counts a DRAM detour. A CG group takes its key and hash from
+  // the row's report (the reuse_switch_hash credit, §6.2), a finer one
+  // derives them from the row's initiator key.
+  GroupState& GroupOfLocked(size_t gi, const MgpvReport* reports, size_t row, bool& via_dram);
 
   // Builds and emits a feature vector for the collect-unit group at
   // granularity index `unit_gi` (AssembleVector locates its siblings).
@@ -191,7 +195,7 @@ class FeNic : public MgpvSink {
   // One group table per granularity in the chain.
   GroupTables tables_;
 
-  // Reusable SoA view for the batch path (guarded by mu_ like all state).
+  // Reusable SoA view of the current batch (guarded by mu_ like all state).
   PacketBatchSoA batch_;
 
   // Precomputed per-cell work (placement-aware); DRAM detours are added

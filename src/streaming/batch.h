@@ -1,20 +1,14 @@
-// Batch (SoA) primitives backing the AddBatch() bulk APIs of the §6.1
-// streaming kernels.
+// Batch (SoA) primitives backing the bulk APIs of the integer-domain §6.1
+// streaming kernels: min/max, the ft_percent log2 bucketer, HyperLogLog
+// hashing and histogram binning (FixedHistogram::AddBatch).
 //
-// Determinism contract: every floating-point primitive here accumulates in
-// exactly FOUR virtual lanes — lane l sums the elements with index ≡ l
-// (mod 4) — and combines them as (l0+l1)+(l2+l3). The scalar fallback
-// simulates the four lanes, SSE2 carries them as two 2-wide vectors, AVX2 as
-// one 4-wide vector, so all dispatch levels (see streaming/simd.h) produce
-// bit-identical results for the same input span. The containing translation
-// unit is compiled with -ffp-contract=off so the scalar lanes cannot fuse
-// into FMAs the vector paths don't issue.
-//
-// Order sensitivity: lane assignment depends on the span, so summing a
-// stream in two AddBatch chunks can differ from one chunk in the last few
-// ULPs (documented bound; see docs/ARCHITECTURE.md "Batch feature
-// kernels"). Integer-domain primitives (Log2Bucket, HashU64Batch, min/max,
-// histogram binning) are exact and split-invariant.
+// Determinism contract: every primitive here is exact and split-invariant —
+// it compares, extracts bits or hashes integers, and never accumulates a
+// floating-point sum — so every dispatch level (see streaming/simd.h) and
+// every split of a span give the same result. The double-precision families
+// (sum, Welford, moments) have no batch kernel: Reducer::UpdateBatch folds
+// them value by value in arrival order (docs/ARCHITECTURE.md, "Exactness
+// contract").
 #ifndef SUPERFE_STREAMING_BATCH_H_
 #define SUPERFE_STREAMING_BATCH_H_
 
@@ -24,15 +18,6 @@
 
 namespace superfe {
 namespace batchkern {
-
-// 4-lane sum of v[0..n).
-double Sum(const double* v, size_t n);
-
-// Sums of centered powers: m2 += (v-center)^2 and, when m3_out/m4_out are
-// non-null, m3 += (v-center)^3, m4 += (v-center)^4. 4-lane. Outputs are
-// overwritten, not accumulated.
-void CentralPowers(const double* v, size_t n, double center, double* m2_out, double* m3_out,
-                   double* m4_out);
 
 // Min and max of v[0..n). No-op when n == 0. Exact (order-independent).
 void MinMax(const double* v, size_t n, double* min_out, double* max_out);

@@ -3,7 +3,6 @@
 #ifndef SUPERFE_STREAMING_MOMENTS_H_
 #define SUPERFE_STREAMING_MOMENTS_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace superfe {
@@ -11,10 +10,6 @@ namespace superfe {
 class StreamingMoments {
  public:
   void Add(double x);
-  // Bulk insert: two-pass chunk central powers merged with Pébay's order-4
-  // formulas; ULP-level divergence from n scalar Adds (usually *more*
-  // accurate).
-  void AddBatch(const double* v, size_t n);
 
   uint64_t count() const { return n_; }
   double mean() const { return mean_; }

@@ -28,14 +28,6 @@ double NaiveStats::Variance() const {
   return sum / static_cast<double>(values_.size());
 }
 
-double NaiveStats::Min() const {
-  return values_.empty() ? 0.0 : *std::min_element(values_.begin(), values_.end());
-}
-
-double NaiveStats::Max() const {
-  return values_.empty() ? 0.0 : *std::max_element(values_.begin(), values_.end());
-}
-
 uint64_t NaiveStats::DistinctCount() const {
   std::vector<double> sorted = values_;
   std::sort(sorted.begin(), sorted.end());

@@ -19,8 +19,6 @@ class NaiveStats {
   double Sum() const;
   double Mean() const;      // First pass.
   double Variance() const;  // Second pass over the buffer.
-  double Min() const;
-  double Max() const;
   uint64_t DistinctCount() const;  // Exact cardinality via sort-unique.
 
   const std::vector<double>& values() const { return values_; }

@@ -1,12 +1,12 @@
 // Runtime SIMD dispatch for the batch feature kernels.
 //
-// The batch kernels in streaming/batch.h are written against a fixed
-// 4-virtual-lane accumulator contract (see batch.h), so every dispatch level
-// produces bit-identical results; the level only changes how many lanes a
-// hardware instruction carries per step. Detection is compile-time
-// (x86_64 + !SUPERFE_DISABLE_SIMD) plus a one-time runtime probe
-// (__builtin_cpu_supports), and the SUPERFE_NO_SIMD environment variable
-// forces the portable scalar path for A/B verification.
+// Every kernel that dispatches here (the integer-domain primitives of
+// streaming/batch.h and the damped-lane kernels of streaming/damped_lanes.h)
+// gives its scalar reference's bits at every level; the level only changes
+// how many values a hardware instruction carries per step. Detection is
+// compile-time (x86_64 + !SUPERFE_DISABLE_SIMD) plus a one-time runtime
+// probe (__builtin_cpu_supports), and the SUPERFE_NO_SIMD environment
+// variable forces the portable scalar path for A/B verification.
 #ifndef SUPERFE_STREAMING_SIMD_H_
 #define SUPERFE_STREAMING_SIMD_H_
 
@@ -14,7 +14,7 @@ namespace superfe {
 
 enum class SimdLevel {
   kScalar = 0,  // Portable C++ (also the SUPERFE_NO_SIMD / non-x86 path).
-  kSse2 = 1,    // x86_64 baseline: two 2-wide double vectors per step.
+  kSse2 = 1,    // x86_64 baseline; no kernel has an SSE2 body of its own.
   kAvx2 = 2,    // One 4-wide double vector per step.
 };
 

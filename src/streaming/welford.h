@@ -4,7 +4,6 @@
 #ifndef SUPERFE_STREAMING_WELFORD_H_
 #define SUPERFE_STREAMING_WELFORD_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace superfe {
@@ -13,10 +12,6 @@ namespace superfe {
 class WelfordStats {
  public:
   void Add(double x);
-  // Bulk insert: two-pass chunk statistics merged with Chan's formulas
-  // (vectorized, see streaming/batch.h). Result can differ from n scalar
-  // Adds in the last few ULPs.
-  void AddBatch(const double* v, size_t n);
 
   uint64_t count() const { return n_; }
   double mean() const { return mean_; }
@@ -49,10 +44,6 @@ class NicWelfordStats {
   using Int128 = __int128;
 
   void Add(int64_t x);
-  // Bulk insert of llround(v[i]) (the exec-path coercion), bit-identical to
-  // n scalar Adds (the integer residue drain is order-dependent by
-  // construction); amortizes reducer dispatch.
-  void AddBatchRounded(const double* v, size_t n);
 
   uint64_t count() const { return n_; }
   double mean() const { return static_cast<double>(mean_); }

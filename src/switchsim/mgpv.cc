@@ -131,7 +131,10 @@ MgpvCache::MgpvCache(const MgpvConfig& config, MgpvSink* sink)
   for (uint32_t i = 0; i < config_.long_buffers; ++i) {
     free_long_.push_back(i);
   }
-  fg_table_.resize(config_.fg_table_size);
+  // Only a multi-granularity policy indexes the FG table (FgIndexFor).
+  if (config_.multi_granularity) {
+    fg_table_.resize(config_.fg_table_size);
+  }
 }
 
 void MgpvCache::EvictCells(Entry& entry, EvictReason reason) {

@@ -231,6 +231,7 @@ class MgpvCache {
   void EvictCells(Entry& entry, EvictReason reason);
 
   // Looks up / installs the FG key, emitting a sync message on writes.
+  // Multi-granularity policies only: the table is empty otherwise.
   uint16_t FgIndexFor(const InitiatorKey& fg_key);
 
   // Advances the recirculation aging scan by config_.aging_scan_per_packet

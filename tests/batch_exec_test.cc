@@ -1,10 +1,11 @@
-// Equivalence tests for the SoA batch execution path: UpdateGroupBatch vs
-// per-cell UpdateGroup, and FeNic with batch kernels on vs off, under the
-// exactness contract of streaming/batch.h (bit-identical for the NIC's
-// integer/fixed-point kernels, same multiset of vectors end to end).
+// Split-invariance tests for the one update path: UpdateGroupBatch over a
+// whole run, one-row runs and random splits, and FeNic fed one OnMgpvBatch
+// over all reports, one OnMgpv per report and random splits of the reports,
+// must all give the same bits (docs/ARCHITECTURE.md, "Exactness contract").
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -95,37 +96,50 @@ pktstream
   .collect(socket)
 )";
 
+// Emission of `group` at granularity index `gi` as raw bits.
+std::vector<uint64_t> EmittedBits(const ExecPlan& plan, size_t gi, const GroupState& group) {
+  std::vector<double> out;
+  EmitGroupFeatures(plan, gi, group, out);
+  std::vector<uint64_t> bits;
+  for (double v : out) {
+    bits.push_back(std::bit_cast<uint64_t>(v));
+  }
+  return bits;
+}
+
 TEST(BatchExecTest, UpdateGroupBatchMatchesPerCellUpdates) {
-  // One group's cells, applied per-cell vs as one batch run: identical
-  // features under NIC arithmetic (integer Welford, exact integral sums).
+  // One group's cells as one run, as one-row runs and as runs split at
+  // random rows: the same bits under NIC and exact arithmetic (integer and
+  // double Welford, exact sums).
   const ExecPlan plan = PlanFor(kRichPolicy);
-  const ExecOptions options{};  // nic_arithmetic = true.
   const std::vector<MgpvReport> reports = MakeReports(7, /*flows=*/1, 64, 4);
+  for (const bool nic : {true, false}) {
+    ExecOptions options;
+    options.nic_arithmetic = nic;
+    Rng rng(nic ? 3 : 4);
+    for (size_t gi = 0; gi < plan.per_granularity.size(); ++gi) {
+      PacketBatchSoA soa;
+      soa.Assemble(reports.data(), reports.size());
+      soa.SortByPrefix(InitiatorKey::PrefixBytes(plan.per_granularity[gi].granularity));
 
-  for (size_t gi = 0; gi < plan.per_granularity.size(); ++gi) {
-    GroupState scalar = GroupState::Make(plan, gi, options);
-    for (const auto& report : reports) {
-      for (const auto& cell : report.cells) {
-        UpdateGroup(plan, gi, scalar, cell);
+      GroupState whole = GroupState::Make(plan, gi, options);
+      UpdateGroupBatch(plan, gi, whole, soa, 0, soa.rows());
+      GroupState rows = GroupState::Make(plan, gi, options);
+      for (size_t r = 0; r < soa.rows(); ++r) {
+        UpdateGroupBatch(plan, gi, rows, soa, r, r + 1);
       }
-    }
+      GroupState split = GroupState::Make(plan, gi, options);
+      for (size_t begin = 0; begin < soa.rows();) {
+        const size_t end = std::min(soa.rows(), begin + 1 + rng.UniformU64(40));
+        UpdateGroupBatch(plan, gi, split, soa, begin, end);
+        begin = end;
+      }
 
-    GroupState batch = GroupState::Make(plan, gi, options);
-    PacketBatchSoA soa;
-    soa.Assemble(reports.data(), reports.size());
-    soa.SortByPrefix(
-        InitiatorKey::PrefixBytes(plan.per_granularity[gi].granularity));
-    UpdateGroupBatch(plan, gi, batch, soa, 0, soa.rows());
-
-    EXPECT_EQ(batch.packets, scalar.packets);
-    EXPECT_EQ(batch.last_seen_ns, scalar.last_seen_ns);
-    std::vector<double> from_scalar, from_batch;
-    EmitGroupFeatures(plan, gi, scalar, from_scalar);
-    EmitGroupFeatures(plan, gi, batch, from_batch);
-    ASSERT_EQ(from_batch.size(), from_scalar.size());
-    for (size_t i = 0; i < from_scalar.size(); ++i) {
-      EXPECT_DOUBLE_EQ(from_batch[i], from_scalar[i])
-          << "gi=" << gi << " feature " << i;
+      EXPECT_EQ(rows.packets, whole.packets);
+      EXPECT_EQ(rows.last_seen_ns, whole.last_seen_ns);
+      const std::vector<uint64_t> expected = EmittedBits(plan, gi, whole);
+      EXPECT_EQ(EmittedBits(plan, gi, rows), expected) << "nic=" << nic << " gi=" << gi;
+      EXPECT_EQ(EmittedBits(plan, gi, split), expected) << "nic=" << nic << " gi=" << gi;
     }
   }
 }
@@ -133,13 +147,14 @@ TEST(BatchExecTest, UpdateGroupBatchMatchesPerCellUpdates) {
 TEST(BatchExecTest, SoaSortKeepsPerGroupArrivalOrder) {
   // At every granularity prefix, the stable sort must keep each group's
   // internal cell order — arrival order, i.e. non-decreasing timestamps
-  // here (the ipt/burst recurrences depend on it).
+  // here (the ipt/burst recurrences depend on it), also when a coarser
+  // prefix follows a finer one.
   const std::vector<MgpvReport> reports = MakeReports(11, /*flows=*/8, 32, 6);
   PacketBatchSoA soa;
   soa.Assemble(reports.data(), reports.size());
   ASSERT_EQ(soa.rows(), 6u * 32u);
-  for (const Granularity g :
-       {Granularity::kHost, Granularity::kChannel, Granularity::kFlow}) {
+  for (const Granularity g : {Granularity::kHost, Granularity::kChannel, Granularity::kFlow,
+                              Granularity::kHost}) {
     const int prefix = InitiatorKey::PrefixBytes(g);
     soa.SortByPrefix(prefix);
     for (size_t i = 1; i < soa.rows(); ++i) {
@@ -151,7 +166,7 @@ TEST(BatchExecTest, SoaSortKeepsPerGroupArrivalOrder) {
   }
 }
 
-std::vector<FeatureVector> SortedVectors(CollectingFeatureSink& sink) {
+std::vector<FeatureVector> SortedVectors(const CollectingFeatureSink& sink) {
   std::vector<FeatureVector> vs = sink.vectors();
   std::sort(vs.begin(), vs.end(), [](const FeatureVector& a, const FeatureVector& b) {
     if (a.group.length != b.group.length) {
@@ -166,61 +181,73 @@ std::vector<FeatureVector> SortedVectors(CollectingFeatureSink& sink) {
   return vs;
 }
 
-void ExpectSameVectors(CollectingFeatureSink& batch_sink,
-                       CollectingFeatureSink& scalar_sink) {
-  const std::vector<FeatureVector> batch = SortedVectors(batch_sink);
-  const std::vector<FeatureVector> scalar = SortedVectors(scalar_sink);
-  ASSERT_EQ(batch.size(), scalar.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].group, scalar[i].group) << "vector " << i;
-    ASSERT_EQ(batch[i].values.size(), scalar[i].values.size());
-    for (size_t j = 0; j < batch[i].values.size(); ++j) {
-      EXPECT_DOUBLE_EQ(batch[i].values[j], scalar[i].values[j])
-          << "vector " << i << " value " << j;
+void ExpectSameBits(const CollectingFeatureSink& expected_sink,
+                    const CollectingFeatureSink& actual_sink, const std::string& feed) {
+  const std::vector<FeatureVector> expected = SortedVectors(expected_sink);
+  const std::vector<FeatureVector> actual = SortedVectors(actual_sink);
+  ASSERT_EQ(actual.size(), expected.size()) << feed;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].group, expected[i].group) << feed << " vector " << i;
+    EXPECT_EQ(actual[i].timestamp_ns, expected[i].timestamp_ns) << feed << " vector " << i;
+    ASSERT_EQ(actual[i].values.size(), expected[i].values.size()) << feed;
+    for (size_t j = 0; j < expected[i].values.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(actual[i].values[j]),
+                std::bit_cast<uint64_t>(expected[i].values[j]))
+          << feed << " vector " << i << " value " << j << ": " << actual[i].values[j]
+          << " vs " << expected[i].values[j];
     }
   }
 }
 
-void RunBothPaths(const char* policy_src, FeNicConfig base_config) {
+// Feeds the same reports to three NICs — one OnMgpvBatch over all of them,
+// one OnMgpv per report, and OnMgpvBatch over slices cut at random reports
+// — and checks that all three emit the same vectors, bit for bit.
+void RunThreeFeeds(const char* policy_src, FeNicConfig config) {
   const CompiledPolicy compiled = CompileSource(policy_src);
   const std::vector<MgpvReport> reports = MakeReports(23, /*flows=*/10, 48, 8);
 
-  FeNicConfig batch_config = base_config;
-  batch_config.batch_kernels = true;
-  CollectingFeatureSink batch_sink;
-  auto batch_nic = std::move(FeNic::Create(compiled, batch_config, &batch_sink)).value();
-  batch_nic->OnMgpvBatch(reports.data(), reports.size());
-  batch_nic->Flush();
+  CollectingFeatureSink whole_sink;
+  auto whole = std::move(FeNic::Create(compiled, config, &whole_sink)).value();
+  whole->OnMgpvBatch(reports.data(), reports.size());
+  whole->Flush();
 
-  FeNicConfig scalar_config = base_config;
-  scalar_config.batch_kernels = false;
-  CollectingFeatureSink scalar_sink;
-  auto scalar_nic =
-      std::move(FeNic::Create(compiled, scalar_config, &scalar_sink)).value();
+  CollectingFeatureSink per_report_sink;
+  auto per_report = std::move(FeNic::Create(compiled, config, &per_report_sink)).value();
   for (const auto& report : reports) {
-    scalar_nic->OnMgpv(report);
+    per_report->OnMgpv(report);
   }
-  scalar_nic->Flush();
+  per_report->Flush();
 
-  // The batch path runs the same number of cells through the same policy.
-  EXPECT_EQ(batch_nic->stats().cells, scalar_nic->stats().cells);
-  ExpectSameVectors(batch_sink, scalar_sink);
+  CollectingFeatureSink split_sink;
+  auto split = std::move(FeNic::Create(compiled, config, &split_sink)).value();
+  Rng rng(29);
+  for (size_t begin = 0; begin < reports.size();) {
+    const size_t end = std::min(reports.size(), begin + 1 + rng.UniformU64(4));
+    split->OnMgpvBatch(reports.data() + begin, end - begin);
+    begin = end;
+  }
+  split->Flush();
+
+  EXPECT_EQ(per_report->stats().cells, whole->stats().cells);
+  EXPECT_EQ(split->stats().cells, whole->stats().cells);
+  ExpectSameBits(whole_sink, per_report_sink, "per report");
+  ExpectSameBits(whole_sink, split_sink, "random split");
 }
 
 TEST(BatchExecTest, FeNicBatchAndScalarPathsEmitIdenticalVectors) {
-  RunBothPaths(kRichPolicy, FeNicConfig{});
+  RunThreeFeeds(kRichPolicy, FeNicConfig{});
 }
 
 TEST(BatchExecTest, FeNicBatchMatchesScalarWithIdleTimeout) {
   // idle_timeout_ns > 0 forces per-report batches (eviction decisions are
-  // report-boundary); results must still match the scalar path.
+  // report-boundary); every feed must still agree.
   FeNicConfig config;
   config.idle_timeout_ns = 50000;
-  RunBothPaths(kRichPolicy, config);
+  RunThreeFeeds(kRichPolicy, config);
 }
 
 TEST(BatchExecTest, FeNicBatchMatchesScalarOnCardinalityAndHistogram) {
-  RunBothPaths(R"(
+  RunThreeFeeds(R"(
 pktstream
   .groupby(host, flow)
   .map(one, _, f_one)
@@ -229,21 +256,61 @@ pktstream
   .reduce(size, [ft_percent{0.9}], flow)
   .collect(flow)
 )",
-               FeNicConfig{});
+                FeNicConfig{});
 }
 
-TEST(BatchExecTest, PerPacketCollectFallsBackToScalarPath) {
-  // Per-packet collection emits a snapshot per cell; the batch router must
-  // take the scalar path so snapshots stay per-cell. Just verify the two
-  // configs agree (both run the scalar path).
-  RunBothPaths(R"(
+TEST(BatchExecTest, FeNicFeedsAgreeUnderExactArithmetic) {
+  // The double families (sum over non-integer speeds, Welford, moments)
+  // fold in arrival order, so every feed gives the same bits.
+  FeNicConfig config;
+  config.exec.nic_arithmetic = false;
+  RunThreeFeeds(R"(
 pktstream
-  .groupby(flow)
-  .map(one, _, f_one)
-  .reduce(one, [f_sum])
-  .collect(pkt)
+  .groupby(host, flow)
+  .map(ipt, tstamp, f_ipt)
+  .map(speed, size, f_speed)
+  .reduce(size, [f_mean, f_var, f_skew, f_kur], host)
+  .reduce(speed, [f_sum, f_mean, f_std], host)
+  .reduce(ipt, [f_mean, f_var, f_skew, f_kur], flow)
+  .collect(flow)
 )",
-               FeNicConfig{});
+                config);
+}
+
+TEST(BatchExecTest, PerPacketCollectRunsOneRowRuns) {
+  // Per-packet collection walks the assembled batch in arrival order, one
+  // row at a time across the chain, and emits a vector after each row:
+  // one vector per cell, whichever way the reports are fed.
+  const char* policy = R"(
+pktstream
+  .groupby(host, flow)
+  .map(one, _, f_one)
+  .map(ipt, tstamp, f_ipt)
+  .reduce(one, [f_sum], host)
+  .reduce(size, [f_mean, f_skew], host)
+  .reduce(ipt, [f_sum, f_max], flow)
+  .collect(pkt)
+)";
+  RunThreeFeeds(policy, FeNicConfig{});
+  FeNicConfig exact;
+  exact.exec.nic_arithmetic = false;
+  RunThreeFeeds(policy, exact);
+
+  const std::vector<MgpvReport> reports = MakeReports(23, /*flows=*/10, 48, 8);
+  CollectingFeatureSink sink;
+  auto nic = std::move(FeNic::Create(CompileSource(policy), FeNicConfig{}, &sink)).value();
+  nic->OnMgpvBatch(reports.data(), reports.size());
+  nic->Flush();
+  ASSERT_EQ(sink.vectors().size(), 8u * 48u);
+  size_t i = 0;
+  for (const auto& report : reports) {
+    for (const auto& cell : report.cells) {
+      EXPECT_EQ(sink.vectors()[i].timestamp_ns, cell.full_timestamp_ns) << "vector " << i;
+      EXPECT_EQ(sink.vectors()[i].group, GroupKey::Of(cell.fg_key, Granularity::kFlow))
+          << "vector " << i;
+      ++i;
+    }
+  }
 }
 
 }  // namespace

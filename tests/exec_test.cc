@@ -24,6 +24,16 @@ MgpvCell Cell(double size, uint64_t ts_ns, Direction dir = Direction::kForward) 
   return cell;
 }
 
+// Feeds one cell to the group at granularity index 0 as a one-row run, the
+// way per-packet collection does.
+void Feed(const ExecPlan& plan, GroupState& group, const MgpvCell& cell) {
+  MgpvReport report;
+  report.cells = {cell};
+  PacketBatchSoA batch;
+  batch.Assemble(&report, 1);
+  UpdateGroupBatch(plan, 0, group, batch, 0, 1);
+}
+
 ExecPlan PlanFor(const std::string& source) {
   auto policy = ParsePolicy("t", source);
   EXPECT_TRUE(policy.ok()) << policy.status().ToString();
@@ -90,7 +100,7 @@ TEST(ReducerTest, NicArithmeticCloseToExact) {
 
 TEST(ReducerTest, DampedSumIsWeightForOnes) {
   // A damped owner is a lane of the group's damped block, driven by
-  // UpdateGroup.
+  // UpdateGroupBatch.
   const ExecPlan plan = PlanFor(R"(
 pktstream
   .groupby(flow)
@@ -99,8 +109,8 @@ pktstream
   .collect(flow)
 )");
   GroupState group = GroupState::Make(plan, 0, kExact);
-  UpdateGroup(plan, 0, group, Cell(100, 0));
-  UpdateGroup(plan, 0, group, Cell(100, 1000000000));  // First sample decayed to 0.5.
+  Feed(plan, group, Cell(100, 0));
+  Feed(plan, group, Cell(100, 1000000000));  // First sample decayed to 0.5.
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
   ASSERT_EQ(out.size(), 1u);
@@ -213,8 +223,8 @@ pktstream
 )");
   GroupState group = GroupState::Make(plan, 0, kExact);
   for (uint64_t i = 0; i < 100; ++i) {
-    UpdateGroup(plan, 0, group, Cell(3.0, i * 1000000, Direction::kForward));
-    UpdateGroup(plan, 0, group, Cell(4.0, i * 1000000, Direction::kBackward));
+    Feed(plan, group, Cell(3.0, i * 1000000, Direction::kForward));
+    Feed(plan, group, Cell(4.0, i * 1000000, Direction::kBackward));
   }
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
@@ -286,9 +296,9 @@ pktstream
   .collect(flow)
 )");
   GroupState group = GroupState::Make(plan, 0, kExact);
-  UpdateGroup(plan, 0, group, Cell(100, 0));
-  UpdateGroup(plan, 0, group, Cell(100, 1000));
-  UpdateGroup(plan, 0, group, Cell(100, 4000));
+  Feed(plan, group, Cell(100, 0));
+  Feed(plan, group, Cell(100, 1000));
+  Feed(plan, group, Cell(100, 4000));
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
   ASSERT_EQ(out.size(), 2u);
@@ -306,9 +316,9 @@ pktstream
   .collect(flow)
 )");
   GroupState group = GroupState::Make(plan, 0, kExact);
-  UpdateGroup(plan, 0, group, Cell(100, 0, Direction::kForward));
-  UpdateGroup(plan, 0, group, Cell(100, 1, Direction::kBackward));
-  UpdateGroup(plan, 0, group, Cell(100, 2, Direction::kBackward));
+  Feed(plan, group, Cell(100, 0, Direction::kForward));
+  Feed(plan, group, Cell(100, 1, Direction::kBackward));
+  Feed(plan, group, Cell(100, 2, Direction::kBackward));
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
   ASSERT_EQ(out.size(), 4u);
@@ -327,10 +337,10 @@ pktstream
   .collect(flow)
 )");
   GroupState group = GroupState::Make(plan, 0, kExact);
-  UpdateGroup(plan, 0, group, Cell(100, 0, Direction::kForward));
-  UpdateGroup(plan, 0, group, Cell(100, 1, Direction::kForward));
-  UpdateGroup(plan, 0, group, Cell(100, 2, Direction::kForward));
-  UpdateGroup(plan, 0, group, Cell(100, 3, Direction::kBackward));
+  Feed(plan, group, Cell(100, 0, Direction::kForward));
+  Feed(plan, group, Cell(100, 1, Direction::kForward));
+  Feed(plan, group, Cell(100, 2, Direction::kForward));
+  Feed(plan, group, Cell(100, 3, Direction::kBackward));
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
   EXPECT_DOUBLE_EQ(out[0], 3.0);  // Longest same-direction run.
@@ -345,8 +355,8 @@ pktstream
   .collect(flow)
 )");
   GroupState group = GroupState::Make(plan, 0, kExact);
-  UpdateGroup(plan, 0, group, Cell(1000, 0));
-  UpdateGroup(plan, 0, group, Cell(1000, 1000000));  // 1 ms gap.
+  Feed(plan, group, Cell(1000, 0));
+  Feed(plan, group, Cell(1000, 1000000));  // 1 ms gap.
   std::vector<double> out;
   EmitGroupFeatures(plan, 0, group, out);
   EXPECT_NEAR(out[0], 1000.0 / 0.001, 1e-6);

@@ -1,8 +1,8 @@
 // State-fusion tests: ExecPlan's owner table gives the collected features of
 // one statistic family a single shared state (docs/ARCHITECTURE.md,
 // "Per-statistic group state"). Emission from the fused states must equal
-// one standalone Reducer per slot, bit for bit, on both update paths and
-// under every arithmetic.
+// one standalone Reducer per slot, bit for bit, whether a report's cells
+// arrive as one run or as one-row runs, and under every arithmetic.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -36,6 +36,16 @@ ExecPlan PlanFor(const std::string& source) {
   auto policy = ParsePolicy("t", source);
   EXPECT_TRUE(policy.ok()) << policy.status().ToString();
   return PlanFor(*policy);
+}
+
+// Feeds one cell to the group at granularity index `gi` as a one-row run,
+// the way per-packet collection does.
+void Feed(const ExecPlan& plan, size_t gi, GroupState& group, const MgpvCell& cell) {
+  MgpvReport report;
+  report.cells = {cell};
+  PacketBatchSoA batch;
+  batch.Assemble(&report, 1);
+  UpdateGroupBatch(plan, gi, group, batch, 0, 1);
 }
 
 // Every reducing function, several members per family, and neighbours that
@@ -171,14 +181,13 @@ struct PerSlotReducers {
       last_ts = soa.tstamp_ns[r];
     }
     std::vector<double> column(n);
-    std::vector<uint64_t> scratch;
     for (size_t i = 0; i < states.size(); ++i) {
       State& state = states[i];
       for (size_t r = 0; r < n; ++r) {
         column[r] = FieldValue(gp.slots[i].field, soa.pkt_size[r], soa.dir_sign[r], ipt[r]);
       }
       if (state.reducer) {
-        state.reducer->UpdateBatch(column.data(), n, scratch);
+        state.reducer->UpdateBatch(column.data(), n);
         continue;
       }
       for (size_t r = 0; r < n; ++r) {
@@ -282,7 +291,8 @@ class FusionTest
 
 // Feeds `cells` to one fused group and one per-slot oracle per granularity
 // of `plan`, in reports of varying length, and compares their emission bit
-// for bit after every report.
+// for bit after every report. `batch` feeds each report as one run per
+// granularity; otherwise each cell is a one-row run.
 void ExpectFusedMatchesPerSlot(const ExecPlan& plan, const ExecOptions& options, bool batch,
                                const std::vector<MgpvCell>& cells) {
   std::vector<GroupState> fused;
@@ -308,7 +318,7 @@ void ExpectFusedMatchesPerSlot(const ExecPlan& plan, const ExecOptions& options,
         oracles[gi].UpdateBatch(soa);
       } else {
         for (const auto& cell : report.cells) {
-          UpdateGroup(plan, gi, fused[gi], cell);
+          Feed(plan, gi, fused[gi], cell);
           oracles[gi].Update(cell);
         }
       }
@@ -376,7 +386,7 @@ pktstream
   GroupState group = GroupState::Make(plan, 0, options);
   DampedStats2D mean(gp.slots[1].spec.decay_lambda, options.EffectiveDampedMode());
   for (const auto& cell : TwoSidedCells()) {
-    UpdateGroup(plan, 0, group, cell);
+    Feed(plan, 0, group, cell);
     const double t_seconds = static_cast<double>(cell.full_timestamp_ns) * 1e-9;
     if (cell.direction == Direction::kForward) {
       mean.AddA(cell.size, t_seconds);
@@ -415,7 +425,7 @@ pktstream
   GroupState group = GroupState::Make(plan, 0, options);
   PerSlotReducers oracle(gp, options);
   for (const auto& cell : TwoSidedCells()) {
-    UpdateGroup(plan, 0, group, cell);
+    Feed(plan, 0, group, cell);
     oracle.Update(cell);
   }
   std::vector<double> out;

@@ -1,13 +1,13 @@
 // Pins every shipped policy's output. The ten Table 3 apps and the five
 // examples/policies run over the three paper profiles (20k packets, seed 1)
-// in four shapes: serial with batch kernels, serial on the per-cell scalar
-// path (--no-batch-kernels), 2 switch shards x 2 NIC workers, and the serial
+// in four shapes: serial, serial with the SIMD kernels forced to their
+// portable scalar level, 2 switch shards x 2 NIC workers, and the serial
 // daemon (RunDaemon over a one-loop LoopedTraceSource with 4096-packet
 // epochs). Each case digests the sorted CSV rows (group key, timestamp,
 // values at the CSV's 6 significant digits) and compares the digest with the
-// recorded one below.
-// Daemon epochs concatenate to the one-shot output, so the daemon shape has
-// no rows of its own: it must match the batch rows.
+// recorded one below. Every shape keeps each group's arrival order and every
+// kernel gives the scalar fold's bits for any split of a group's run, so
+// each (policy, profile) has one digest that every shape must match.
 //
 // A rewrite of the NIC executor (state layout, hashing, emission) must leave
 // every digest unchanged. A deliberate output change updates the table and
@@ -29,6 +29,7 @@
 #include "net/ingest.h"
 #include "net/trace_gen.h"
 #include "policy/parser.h"
+#include "streaming/simd.h"
 
 namespace superfe {
 namespace {
@@ -36,12 +37,11 @@ namespace {
 struct Golden {
   const char* policy;
   const char* profile;
-  const char* shape;
   const char* digest;  // FNV-1a of the sorted rows, "/" row count.
 };
 
-// One line per (policy, profile, shape). CHANGES.md records every
-// deliberate change to these digests with the rows it moved.
+// One line per (policy, profile). CHANGES.md records every deliberate
+// change to these digests with the rows it moved.
 constexpr Golden kGolden[] = {
 #include "golden_digests.inc"
 };
@@ -136,19 +136,16 @@ TraceProfile ProfileByName(const std::string& name) {
 
 RuntimeConfig ShapeConfig(const std::string& shape) {
   RuntimeConfig config;
-  if (shape == "scalar") {
-    config.nic.batch_kernels = false;
-  } else if (shape == "2x2") {
+  if (shape == "2x2") {
     config.switch_shards = 2;
     config.worker_threads = 2;
   }
   return config;
 }
 
-const Golden* FindGolden(const std::string& policy, const std::string& profile,
-                         const std::string& shape) {
+const Golden* FindGolden(const std::string& policy, const std::string& profile) {
   for (const Golden& g : kGolden) {
-    if (policy == g.policy && profile == g.profile && shape == g.shape) {
+    if (policy == g.policy && profile == g.profile) {
       return &g;
     }
   }
@@ -167,7 +164,15 @@ TEST_P(GoldenOutputTest, SortedRowsMatchRecordedDigest) {
   const std::vector<NamedPolicy> policies = AllPolicies();
   ASSERT_EQ(policies.size(), 15u);
   const bool daemon = shape == "daemon";
-  const std::string recorded_shape = daemon ? "batch" : shape;
+  // The "scalar" shape pins the portable scalar bodies of every SIMD kernel;
+  // the detected level comes back however the test ends.
+  struct RestoreSimdLevel {
+    SimdLevel level = ActiveSimdLevel();
+    ~RestoreSimdLevel() { ForceSimdLevelForTest(level); }
+  } restore;
+  if (shape == "scalar") {
+    ForceSimdLevelForTest(SimdLevel::kScalar);
+  }
   for (const NamedPolicy& p : policies) {
     auto runtime = SuperFeRuntime::Create(p.policy, ShapeConfig(shape));
     ASSERT_TRUE(runtime.ok()) << p.name << ": " << runtime.status().ToString();
@@ -185,12 +190,12 @@ TEST_P(GoldenOutputTest, SortedRowsMatchRecordedDigest) {
       runtime.value()->Run(trace, &sink);
     }
     const std::string digest = sink.Digest();
-    const Golden* golden = FindGolden(p.name, profile, recorded_shape);
+    const Golden* golden = FindGolden(p.name, profile);
     // The failure message is the table line to record.
     EXPECT_TRUE(golden != nullptr && digest == golden->digest)
-        << "{\"" << p.name << "\", \"" << profile << "\", \"" << recorded_shape << "\", \""
-        << digest << "\"},  // recorded: " << (golden != nullptr ? golden->digest : "none")
-        << (daemon ? " (daemon shape)" : "");
+        << "{\"" << p.name << "\", \"" << profile << "\", \"" << digest
+        << "\"},  // recorded: " << (golden != nullptr ? golden->digest : "none") << " ("
+        << shape << " shape)";
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 
 #include "common/stats.h"
@@ -44,10 +45,22 @@ TEST(RuntimeTest, EndToEndProducesVectors) {
 }
 
 TEST(RuntimeTest, ExactFeaturesMatchSoftwareBaseline) {
-  // Deterministic sum/min/max features must be identical whether computed
-  // through MGPV batching + FE-NIC or directly in software: batching must
-  // not lose or duplicate packets, and per-group order is preserved.
-  auto policy = Parse(kFlowStatsPolicy);
+  // Every exact-mode feature must have the same bits whether computed
+  // through MGPV batching + FE-NIC (group runs) or directly in software (one
+  // row per packet): batching must not lose or duplicate packets, per-group
+  // order is preserved, and the double families fold in arrival order.
+  auto policy = Parse(R"(
+pktstream
+  .groupby(flow)
+  .map(one, _, f_one)
+  .map(ipt, tstamp, f_ipt)
+  .map(speed, size, f_speed)
+  .reduce(one, [f_sum])
+  .reduce(size, [f_sum, f_min, f_max, f_mean, f_var, f_skew, f_kur])
+  .reduce(ipt, [f_max, f_mean, f_var, f_skew, f_kur])
+  .reduce(speed, [f_sum, f_mean, f_var])
+  .collect(flow)
+)");
   RuntimeConfig config;
   config.nic.exec.nic_arithmetic = false;  // Exact arithmetic on both sides.
   auto runtime = SuperFeRuntime::Create(policy, config);
@@ -79,7 +92,8 @@ TEST(RuntimeTest, ExactFeaturesMatchSoftwareBaseline) {
     ASSERT_NE(it, expected.end());
     ASSERT_EQ(v.values.size(), it->second.size());
     for (size_t i = 0; i < v.values.size(); ++i) {
-      EXPECT_NEAR(v.values[i], it->second[i], 1e-9) << "feature " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(v.values[i]), std::bit_cast<uint64_t>(it->second[i]))
+          << "feature " << i << ": " << v.values[i] << " vs " << it->second[i];
     }
   }
 }

@@ -211,14 +211,9 @@ TEST_P(SeededTest, MomentsShiftInvarianceOfVariance) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededTest, ::testing::Values(1, 2, 3, 5, 8, 13, 21));
 
 // ---------------------------------------------------------------------------
-// Batch (AddBatch) kernels: exactness contract of streaming/batch.h.
-// Integer / fixed-point kernels are bit-identical to the scalar loop at any
-// split; double-summing kernels carry a documented ULP bound because the
-// 4-lane accumulation order differs from the sequential loop.
-
-// Relative ULP-bound for the double Welford/moments chunk merges (Chan /
-// Pébay): benign inputs at these sizes stay far inside 1e-12 relative.
-constexpr double kBatchRelBound = 1e-12;
+// Bulk updates: any split of a stream gives the scalar fold's bits. The
+// integer and fixed-point kernels are exact at any split; the double
+// families fold value by value in arrival order.
 
 TEST_P(SeededTest, NicWelfordBatchSplitsAreBitExact) {
   Rng rng(GetParam() ^ 0xb1);
@@ -230,13 +225,17 @@ TEST_P(SeededTest, NicWelfordBatchSplitsAreBitExact) {
   for (double x : xs) {
     scalar.Add(std::llround(x));
   }
+  // A NIC-arithmetic Welford reducer rounds each value and folds it in
+  // order: two runs split at a random value give the standalone state.
   const size_t split = rng.UniformU64(xs.size() + 1);
-  NicWelfordStats batch;
-  batch.AddBatchRounded(xs.data(), split);
-  batch.AddBatchRounded(xs.data() + split, xs.size() - split);
-  EXPECT_EQ(batch.count(), scalar.count());
-  EXPECT_EQ(batch.mean(), scalar.mean());
-  EXPECT_EQ(batch.variance(), scalar.variance());
+  Reducer batch(ReduceSpec{ReduceFn::kMean}, ExecOptions{}, /*directional=*/false);
+  batch.UpdateBatch(xs.data(), split);
+  batch.UpdateBatch(xs.data() + split, xs.size() - split);
+  std::vector<double> out;
+  batch.EmitAs(ReduceSpec{ReduceFn::kMean}, out);
+  batch.EmitAs(ReduceSpec{ReduceFn::kVar}, out);
+  EXPECT_EQ(std::bit_cast<uint64_t>(out[0]), std::bit_cast<uint64_t>(scalar.mean()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(out[1]), std::bit_cast<uint64_t>(scalar.variance()));
 }
 
 TEST_P(SeededTest, FixedPointDampedBatchIsBitExact) {
@@ -416,43 +415,147 @@ TEST(BatchKernelTest, HistogramClampsQuotientsBeyondIntToTopBin) {
   ForceSimdLevelForTest(detected);
 }
 
+// Feeds `xs` to three Reducers of the family of `members[0]` — one
+// UpdateBatch call, UpdateBatch over runs cut at random points (empty runs
+// included), and one Update per value — and checks that every member
+// emits the same bits from all three.
+void ExpectReducerSplitsBitExact(const std::vector<ReduceSpec>& members,
+                                 const ExecOptions& options, const std::vector<double>& xs,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  Reducer whole(members[0], options, /*directional=*/false);
+  Reducer split(members[0], options, /*directional=*/false);
+  Reducer each(members[0], options, /*directional=*/false);
+  whole.UpdateBatch(xs.data(), xs.size());
+  for (size_t begin = 0; begin < xs.size();) {
+    const size_t end = std::min(xs.size(), begin + rng.UniformU64(300));
+    split.UpdateBatch(xs.data() + begin, end - begin);
+    begin = end;
+  }
+  for (double x : xs) {
+    each.Update(x);
+  }
+  const auto bits = [&](const Reducer& reducer) {
+    std::vector<double> out;
+    for (const ReduceSpec& spec : members) {
+      reducer.EmitAs(spec, out);
+    }
+    std::vector<uint64_t> raw;
+    for (double v : out) {
+      raw.push_back(std::bit_cast<uint64_t>(v));
+    }
+    return raw;
+  };
+  const std::vector<uint64_t> expected = bits(whole);
+  EXPECT_EQ(bits(split), expected) << members[0].ToString() << " random splits";
+  EXPECT_EQ(bits(each), expected) << members[0].ToString() << " one Update per value";
+}
+
+const ExecOptions kExactOptions = [] {
+  ExecOptions o;
+  o.nic_arithmetic = false;
+  return o;
+}();
+
+// Packet sizes: integral, 40..1500 bytes.
+std::vector<double> Sizes(Rng& rng, size_t n) {
+  std::vector<double> xs(n);
+  for (auto& x : xs) {
+    x = static_cast<double>(40 + rng.UniformU64(1461));
+  }
+  return xs;
+}
+
+TEST_P(SeededTest, ReducerSumSplitsAreBitExact) {
+  // The speed map's magnitudes: size over inter-packet gaps from 1 ns to
+  // about a second, non-integral bytes per second.
+  Rng rng(GetParam() ^ 0xd1);
+  std::vector<double> speeds(3000);
+  for (auto& v : speeds) {
+    const double ipt_ns = std::exp2(rng.UniformDouble(0.0, 30.0));
+    v = rng.UniformDouble(40, 1500) / (ipt_ns * 1e-9);
+  }
+  ExpectReducerSplitsBitExact({{ReduceFn::kSum}}, kExactOptions, speeds, GetParam());
+  ExpectReducerSplitsBitExact({{ReduceFn::kSum}}, ExecOptions{}, Sizes(rng, 3000), GetParam());
+}
+
+TEST_P(SeededTest, ReducerMinMaxSplitsAreBitExact) {
+  Rng rng(GetParam() ^ 0xd2);
+  std::vector<double> xs(2000);
+  for (auto& x : xs) {
+    x = rng.UniformDouble(-1e6, 1e6);
+  }
+  ExpectReducerSplitsBitExact({{ReduceFn::kMin}, {ReduceFn::kMax}}, kExactOptions, xs,
+                              GetParam());
+}
+
+// The Welford and moments families' tests are named for a ULP bound; the
+// bound is zero: every split gives the same bits.
 TEST_P(SeededTest, WelfordBatchSplitsWithinUlpBound) {
-  Rng rng(GetParam() ^ 0xb5);
+  // Exact double Welford and the NIC's integer one.
+  Rng rng(GetParam() ^ 0xd3);
   std::vector<double> xs(4000);
   for (auto& x : xs) {
     x = rng.UniformDouble(40, 1500);
   }
-  WelfordStats scalar;
-  for (double x : xs) {
-    scalar.Add(x);
-  }
-  const size_t split = rng.UniformU64(xs.size() + 1);
-  WelfordStats batch;
-  batch.AddBatch(xs.data(), split);
-  batch.AddBatch(xs.data() + split, xs.size() - split);
-  EXPECT_EQ(batch.count(), scalar.count());
-  EXPECT_NEAR(batch.mean(), scalar.mean(), std::fabs(scalar.mean()) * kBatchRelBound);
-  EXPECT_NEAR(batch.variance(), scalar.variance(), scalar.variance() * kBatchRelBound);
+  const std::vector<ReduceSpec> members = {{ReduceFn::kMean}, {ReduceFn::kVar}, {ReduceFn::kStd}};
+  ExpectReducerSplitsBitExact(members, kExactOptions, xs, GetParam());
+  ExpectReducerSplitsBitExact(members, ExecOptions{}, xs, GetParam());
 }
 
 TEST_P(SeededTest, MomentsBatchSplitsWithinUlpBound) {
-  Rng rng(GetParam() ^ 0xb6);
-  std::vector<double> xs(3000);
-  for (auto& x : xs) {
+  Rng rng(GetParam() ^ 0xd4);
+  std::vector<double> skewed(3000);
+  for (auto& x : skewed) {
     x = rng.LogNormal(4.0, 1.0);
   }
-  StreamingMoments scalar;
-  for (double x : xs) {
-    scalar.Add(x);
+  const std::vector<ReduceSpec> members = {{ReduceFn::kSkew}, {ReduceFn::kKur}};
+  ExpectReducerSplitsBitExact(members, kExactOptions, skewed, GetParam());
+  // A symmetric size mix (as many 64s as 1514s around 789s): the exact
+  // skewness is 0, so what is emitted is m3's rounding noise, and it must
+  // not depend on where the stream is split.
+  std::vector<double> symmetric;
+  for (int i = 0; i < 1000; ++i) {
+    symmetric.insert(symmetric.end(), {64.0, 789.0, 1514.0});
   }
-  const size_t split = rng.UniformU64(xs.size() + 1);
-  StreamingMoments batch;
-  batch.AddBatch(xs.data(), split);
-  batch.AddBatch(xs.data() + split, xs.size() - split);
-  EXPECT_NEAR(batch.mean(), scalar.mean(), std::fabs(scalar.mean()) * 1e-10);
-  EXPECT_NEAR(batch.variance(), scalar.variance(), scalar.variance() * 1e-10);
-  EXPECT_NEAR(batch.skewness(), scalar.skewness(), std::fabs(scalar.skewness()) * 1e-6 + 1e-9);
-  EXPECT_NEAR(batch.kurtosis(), scalar.kurtosis(), std::fabs(scalar.kurtosis()) * 1e-6 + 1e-9);
+  for (size_t i = symmetric.size() - 1; i > 0; --i) {
+    std::swap(symmetric[i], symmetric[rng.UniformU64(i + 1)]);
+  }
+  ExpectReducerSplitsBitExact(members, kExactOptions, symmetric, GetParam());
+}
+
+TEST_P(SeededTest, ReducerCardSplitsAreBitExact) {
+  // FG-key hashes: 32-bit values as doubles.
+  Rng rng(GetParam() ^ 0xd5);
+  std::vector<double> xs(3000);
+  for (auto& x : xs) {
+    x = static_cast<double>(rng.UniformU64(1u << 12) * 0x9e3779b1u % (uint64_t{1} << 32));
+  }
+  ExpectReducerSplitsBitExact({{ReduceFn::kCard}}, ExecOptions{}, xs, GetParam());
+}
+
+TEST_P(SeededTest, ReducerArraySplitsAreBitExact) {
+  Rng rng(GetParam() ^ 0xd6);
+  ReduceSpec spec{ReduceFn::kArray};
+  spec.array_limit = 700;
+  ExpectReducerSplitsBitExact({spec}, ExecOptions{}, Sizes(rng, 1000), GetParam());
+}
+
+TEST_P(SeededTest, ReducerHistSplitsAreBitExact) {
+  Rng rng(GetParam() ^ 0xd7);
+  ExpectReducerSplitsBitExact(
+      {{ReduceFn::kHist, 100, 16}, {ReduceFn::kPdf, 100, 16}, {ReduceFn::kCdf, 100, 16}},
+      ExecOptions{}, Sizes(rng, 2500), GetParam());
+}
+
+TEST_P(SeededTest, ReducerPercentSplitsAreBitExact) {
+  Rng rng(GetParam() ^ 0xd8);
+  std::vector<double> xs(2500);
+  for (auto& x : xs) {
+    x = std::exp2(rng.UniformDouble(-2.0, 34.0));
+  }
+  ExpectReducerSplitsBitExact({{ReduceFn::kPercent, 0.5}, {ReduceFn::kPercent, 0.9}},
+                              ExecOptions{}, xs, GetParam());
 }
 
 TEST(BatchKernelTest, Log2BucketMatchesScalarAtBoundaries) {
@@ -476,10 +579,9 @@ TEST(BatchKernelTest, Log2BucketMatchesScalarAtBoundaries) {
 }
 
 TEST_P(SeededTest, SimdFallbackIsBitIdentical) {
-  // The 4-virtual-lane contract: the scalar fallback and the detected SIMD
-  // level must produce bit-identical results for every primitive. On a
-  // non-SIMD build/host both passes run scalar and the test is vacuous but
-  // still true.
+  // The scalar fallback and the detected SIMD level must produce
+  // bit-identical results for every primitive. On a non-SIMD build/host both
+  // passes run scalar and the test is vacuous but still true.
   Rng rng(GetParam() ^ 0xb7);
   std::vector<double> xs(1021);  // Odd size exercises the tail handling.
   std::vector<uint64_t> us(1021);
@@ -488,15 +590,13 @@ TEST_P(SeededTest, SimdFallbackIsBitIdentical) {
     us[i] = rng.NextU64();
   }
   struct Outputs {
-    double sum, m2, m3, m4, lo, hi;
+    double lo, hi;
     std::vector<int32_t> buckets;
     std::vector<uint32_t> hashes;
   };
   const auto run = [&](SimdLevel level) {
     ForceSimdLevelForTest(level);
     Outputs o;
-    o.sum = batchkern::Sum(xs.data(), xs.size());
-    batchkern::CentralPowers(xs.data(), xs.size(), 700.0, &o.m2, &o.m3, &o.m4);
     o.lo = xs[0];
     o.hi = xs[0];
     batchkern::MinMax(xs.data(), xs.size(), &o.lo, &o.hi);
@@ -510,10 +610,6 @@ TEST_P(SeededTest, SimdFallbackIsBitIdentical) {
   const Outputs simd = run(detected);
   const Outputs scalar = run(SimdLevel::kScalar);
   ForceSimdLevelForTest(detected);  // Restore for other tests.
-  EXPECT_EQ(simd.sum, scalar.sum);
-  EXPECT_EQ(simd.m2, scalar.m2);
-  EXPECT_EQ(simd.m3, scalar.m3);
-  EXPECT_EQ(simd.m4, scalar.m4);
   EXPECT_EQ(simd.lo, scalar.lo);
   EXPECT_EQ(simd.hi, scalar.hi);
   EXPECT_EQ(simd.buckets, scalar.buckets);

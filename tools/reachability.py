@@ -53,10 +53,6 @@ ALLOWLIST = {
         "oracle: NaiveTest checks WelfordStats against it",
     "superfe::NaiveStats::Variance() const":
         "oracle: NaiveTest checks WelfordStats against it",
-    "superfe::NaiveStats::Min() const":
-        "oracle: buffered f_min reference of the definitional oracle",
-    "superfe::NaiveStats::Max() const":
-        "oracle: buffered f_max reference of the definitional oracle",
     "superfe::NaiveStats::DistinctCount() const":
         "oracle: exact f_card reference of the definitional oracle",
     "superfe::Trace::IsTimeOrdered() const":

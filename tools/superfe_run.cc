@@ -82,8 +82,6 @@ int Usage() {
                "                                          (docs/ROBUSTNESS.md format)\n"
                "                   [--flush-timeout-ms N] cluster flush/join deadline\n"
                "                   [--watchdog-ms N]      worker stall watchdog timeout\n"
-               "                   [--no-batch-kernels]   per-cell scalar execution (skip\n"
-               "                                          the SoA batch feature kernels)\n"
                "                   [--daemon]             continuous operation: streaming\n"
                "                                          ingest + rolling MGPV epochs +\n"
                "                                          SIGTERM/SIGINT graceful drain\n"
@@ -304,7 +302,6 @@ int main(int argc, char** argv) {
   std::string fault_plan_path;
   uint64_t flush_timeout_ms = 0;
   uint32_t watchdog_ms = 0;
-  bool no_batch_kernels = false;
   bool daemon_mode = false;
   uint64_t loop = 1;
   std::string listen_spec;
@@ -359,8 +356,6 @@ int main(int argc, char** argv) {
       flush_timeout_ms = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
       watchdog_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--no-batch-kernels") == 0) {
-      no_batch_kernels = true;
     } else if (std::strcmp(argv[i], "--daemon") == 0) {
       daemon_mode = true;
     } else if (std::strcmp(argv[i], "--loop") == 0 && i + 1 < argc) {
@@ -477,7 +472,6 @@ int main(int argc, char** argv) {
     }
     config.fault.plan = std::move(plan).value();
   }
-  config.nic.batch_kernels = !no_batch_kernels;
   config.fault.flush_timeout_ms = flush_timeout_ms;
   if (watchdog_ms > 0) {
     // Poll a few times per timeout so a stall is caught promptly.
